@@ -297,6 +297,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(40), uint8(29), uint8(2), int64(7), int64(8))
 	f.Add(uint8(4), uint8(7), uint8(10), uint8(17), int64(9), int64(10))
 	f.Add(uint8(5), uint8(3), uint8(0), uint8(128), int64(11), int64(12))
+	// The cast geometry: rse k=256 ratio 1.5, two 128/192 blocks.
+	f.Add(uint8(0), uint8(255), uint8(5), uint8(63), int64(13), int64(14))
 	f.Fuzz(func(t *testing.T, famB, kB, ratioB, lenB uint8, seed, lossSeed int64) {
 		name := CodecNames[int(famB)%len(CodecNames)]
 		k := 1 + int(kB)

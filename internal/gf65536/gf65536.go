@@ -222,6 +222,82 @@ func MulSliceScalar(dst, src []uint16, c uint16) {
 	}
 }
 
+// noLog is the entry Logs writes for a zero element, which has no
+// discrete logarithm. Real logarithms run from 0 to Size-2.
+const noLog = Size - 1
+
+// Logs sets dst[i] to the discrete logarithm of src[i], or to noLog for
+// zero.
+// That is the operand form AddMulLogs consumes: a decoder that
+// multiplies one symbol by many coefficients takes its logarithms once
+// and then pays a single exp lookup per element and coefficient, where
+// AddMul pays a log lookup as well (or a split-table build, which only
+// pays off past splitTableLen elements). dst may alias src.
+func Logs(dst, src []uint16) {
+	if len(dst) != len(src) {
+		panic("gf65536: Logs length mismatch")
+	}
+	for i, s := range src {
+		if s == 0 {
+			dst[i] = noLog
+		} else {
+			dst[i] = uint16(logTable[s])
+		}
+	}
+}
+
+// expMask bounds an exp-table index: a sum of two real logarithms is at
+// most 2*(Size-2), so the mask changes nothing but lets the compiler
+// drop the bounds check.
+const expMask = 2*Size - 1
+
+// AddMulLogs sets dst[i] ^= c * src[i] given logs = Logs(src).
+func AddMulLogs(dst, logs []uint16, c uint16) {
+	if len(dst) != len(logs) {
+		panic("gf65536: AddMulLogs length mismatch")
+	}
+	if c == 0 {
+		return
+	}
+	lc := uint32(logTable[c])
+	dst = dst[:len(logs)]
+	for i, l := range logs {
+		if l != noLog {
+			dst[i] ^= expTable[(lc+uint32(l))&expMask]
+		}
+	}
+}
+
+// AddMulLogs4 is four AddMulLogs sharing one pass over logs: each
+// logarithm is loaded and tested once for four multiply-accumulates,
+// the GF(2^16) counterpart of gf256.AddMul4. The dst rows must not
+// alias each other.
+func AddMulLogs4(d0, d1, d2, d3, logs []uint16, c0, c1, c2, c3 uint16) {
+	n := len(logs)
+	if len(d0) != n || len(d1) != n || len(d2) != n || len(d3) != n {
+		panic("gf65536: AddMulLogs4 length mismatch")
+	}
+	if c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
+		AddMulLogs(d0, logs, c0)
+		AddMulLogs(d1, logs, c1)
+		AddMulLogs(d2, logs, c2)
+		AddMulLogs(d3, logs, c3)
+		return
+	}
+	l0, l1, l2, l3 := uint32(logTable[c0]), uint32(logTable[c1]), uint32(logTable[c2]), uint32(logTable[c3])
+	d0, d1, d2, d3 = d0[:n], d1[:n], d2[:n], d3[:n]
+	for i, l := range logs {
+		if l == noLog {
+			continue
+		}
+		x := uint32(l)
+		d0[i] ^= expTable[(l0+x)&expMask]
+		d1[i] ^= expTable[(l1+x)&expMask]
+		d2[i] ^= expTable[(l2+x)&expMask]
+		d3[i] ^= expTable[(l3+x)&expMask]
+	}
+}
+
 // Xor sets dst[i] ^= src[i] (field addition of two symbol slices). The
 // slices must have equal length.
 //

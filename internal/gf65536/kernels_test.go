@@ -144,3 +144,57 @@ func BenchmarkXorKernelGF16Scalar(b *testing.B) {
 		XorScalar(dst, src)
 	}
 }
+
+// TestAddMulLogsMatchesScalar pins the log-operand kernels, one row and
+// four rows per pass, to the log/exp reference, zeros included on both
+// sides.
+func TestAddMulLogsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	coefs := []uint16{0, 1, 2, 0x1234, Size - 1}
+	for _, n := range kernelLens {
+		src := randSyms(rng, n)
+		for i := range src {
+			if rng.Intn(8) == 0 {
+				src[i] = 0
+			}
+		}
+		logs := make([]uint16, n)
+		Logs(logs, src)
+		for ci, c := range coefs {
+			want, got := randSyms(rng, n), make([]uint16, n)
+			copy(got, want)
+			AddMulScalar(want, src, c)
+			AddMulLogs(got, logs, c)
+			if !equal(got, want) {
+				t.Fatalf("AddMulLogs n=%d c=%#x differs from AddMulScalar", n, c)
+			}
+			// Four rows: this coefficient and the next three (wrapping),
+			// so the zero-coefficient fallback is hit too.
+			var d, ref [4][]uint16
+			var c4 [4]uint16
+			for r := range d {
+				c4[r] = coefs[(ci+r)%len(coefs)]
+				d[r] = randSyms(rng, n)
+				ref[r] = append([]uint16(nil), d[r]...)
+				AddMulScalar(ref[r], src, c4[r])
+			}
+			AddMulLogs4(d[0], d[1], d[2], d[3], logs, c4[0], c4[1], c4[2], c4[3])
+			for r := range d {
+				if !equal(d[r], ref[r]) {
+					t.Fatalf("AddMulLogs4 n=%d row %d c=%#x differs from AddMulScalar", n, r, c4[r])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddMulLogsKernelGF16 is the log-operand kernel on the same
+// operands; Logs runs once, outside the loop, as in the decoders.
+func BenchmarkAddMulLogsKernelGF16(b *testing.B) {
+	dst, src := benchPair(4096)
+	Logs(src, src)
+	b.SetBytes(8192)
+	for i := 0; i < b.N; i++ {
+		AddMulLogs(dst, src, 0x1234)
+	}
+}

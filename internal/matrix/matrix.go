@@ -141,9 +141,17 @@ func (m *Matrix) MulVec(dst, src [][]byte) {
 		panic("matrix: MulVec dimension mismatch")
 	}
 	for _, d := range dst {
-		for t := range d {
-			d[t] = 0
-		}
+		clear(d)
+	}
+	m.MulAddVec(dst, src)
+}
+
+// MulAddVec accumulates dst += m × src with MulVec's row-blocked kernel
+// and shapes. Field addition is subtraction, so the Reed-Solomon erasure
+// decoder uses it to strip known source symbols out of parity symbols.
+func (m *Matrix) MulAddVec(dst, src [][]byte) {
+	if len(src) != m.cols || len(dst) != m.rows {
+		panic("matrix: MulAddVec dimension mismatch")
 	}
 	i := 0
 	for ; i+4 <= m.rows; i += 4 {
@@ -175,19 +183,21 @@ func (m *Matrix) MulVec(dst, src [][]byte) {
 // pivoting (any non-zero pivot works in a field). It returns ErrSingular if
 // m is not invertible and panics if m is not square.
 func (m *Matrix) Inverse() (*Matrix, error) {
-	a := m.Clone()
 	inv := New(m.rows, m.cols)
-	if err := a.InvertTo(inv); err != nil {
+	if err := m.InvertTo(inv); err != nil {
 		return nil, err
 	}
 	return inv, nil
 }
 
-// InvertTo computes m^-1 into dst without allocating: m itself is the
-// elimination workspace (reduced to the identity on success, garbage on
-// failure) and dst — which must share m's square shape — is overwritten
-// starting from the identity. Decode paths pair it with NewPooled
-// scratch so a block inversion touches the allocator zero times.
+// InvertTo computes m^-1 into dst, which must share m's square shape,
+// leaving m unchanged. The elimination runs on the augmented rows [m | I]
+// in pooled scratch: one multiply-accumulate per row operation covers
+// both halves, and since the columns left of the pivot are already
+// eliminated it need not start at column 0. The wider rows reach the
+// SIMD kernels sooner, which matters for the small systems erasure
+// decoding inverts. The scratch is pooled up to 181×181 (the pool's top
+// size class) and plain memory past that.
 func (m *Matrix) InvertTo(dst *Matrix) error {
 	if m.rows != m.cols {
 		panic("matrix: Inverse of non-square matrix")
@@ -196,15 +206,17 @@ func (m *Matrix) InvertTo(dst *Matrix) error {
 		panic(fmt.Sprintf("matrix: InvertTo into %dx%d, want %dx%d", dst.rows, dst.cols, m.rows, m.cols))
 	}
 	n := m.rows
-	clear(dst.data)
+	aug := NewPooled(n, 2*n)
+	defer aug.Release()
 	for i := 0; i < n; i++ {
-		dst.Set(i, i, 1)
+		copy(aug.Row(i), m.Row(i))
+		aug.Set(i, n+i, 1)
 	}
 	for col := 0; col < n; col++ {
 		// Find a pivot at or below the diagonal.
 		pivot := -1
 		for r := col; r < n; r++ {
-			if m.At(r, col) != 0 {
+			if aug.At(r, col) != 0 {
 				pivot = r
 				break
 			}
@@ -213,25 +225,27 @@ func (m *Matrix) InvertTo(dst *Matrix) error {
 			return ErrSingular
 		}
 		if pivot != col {
-			m.swapRows(pivot, col)
-			dst.swapRows(pivot, col)
+			aug.swapRows(pivot, col)
 		}
 		// Scale the pivot row so the pivot becomes 1.
-		if p := m.At(col, col); p != 1 {
-			ip := gf256.Inv(p)
-			gf256.MulSlice(m.Row(col), m.Row(col), ip)
-			gf256.MulSlice(dst.Row(col), dst.Row(col), ip)
+		if p := aug.At(col, col); p != 1 {
+			prow := aug.Row(col)[col:]
+			gf256.MulSlice(prow, prow, gf256.Inv(p))
 		}
-		// Eliminate the column everywhere else.
+		// Eliminate the column everywhere else. Left of col the pivot
+		// row is zero, so a row operation may start anywhere up to col:
+		// start where the width left is whole 32-byte vectors, so the
+		// SIMD kernel leaves no scalar tail.
+		lo := max(0, 2*n-(2*n-col+31)&^31)
+		prow := aug.Row(col)[lo:]
 		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			if c := m.At(r, col); c != 0 {
-				gf256.AddMul(m.Row(r), m.Row(col), c)
-				gf256.AddMul(dst.Row(r), dst.Row(col), c)
+			if c := aug.At(r, col); r != col && c != 0 {
+				gf256.AddMul(aug.Row(r)[lo:], prow, c)
 			}
 		}
+	}
+	for i := 0; i < n; i++ {
+		copy(dst.Row(i), aug.Row(i)[n:])
 	}
 	return nil
 }

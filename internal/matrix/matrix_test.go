@@ -102,8 +102,9 @@ func randomInvertible(rng *rand.Rand, n int) *Matrix {
 func TestInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(12)
+		n := 1 + rng.Intn(40) // past 16, augmented rows reach the SIMD kernels
 		m := randomInvertible(rng, n)
+		orig := m.Clone()
 		inv, err := m.Inverse()
 		if err != nil {
 			t.Fatal(err)
@@ -113,6 +114,9 @@ func TestInverseRoundTrip(t *testing.T) {
 		}
 		if prod := inv.Mul(m); !prod.Equal(Identity(n)) {
 			t.Fatalf("m^-1 × m != I for n=%d", n)
+		}
+		if !m.Equal(orig) {
+			t.Fatalf("Inverse modified m for n=%d", n)
 		}
 	}
 }
@@ -154,8 +158,9 @@ func TestAnySquareVandermondeSubmatrixInvertible(t *testing.T) {
 
 func TestMulVecMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := New(4, 6)
-	for i := 0; i < 4; i++ {
+	const rows = 7 // one four-row block, one pair and one single row
+	m := New(rows, 6)
+	for i := 0; i < rows; i++ {
 		for j := 0; j < 6; j++ {
 			m.Set(i, j, byte(rng.Intn(256)))
 		}
@@ -169,16 +174,26 @@ func TestMulVecMatchesMul(t *testing.T) {
 			src[j][s] = byte(rng.Intn(256))
 		}
 	}
-	dst := make([][]byte, 4)
+	dst := make([][]byte, rows)
 	for i := range dst {
 		dst[i] = make([]byte, symLen)
+		rng.Read(dst[i]) // MulVec must overwrite, not accumulate
 	}
 	m.MulVec(dst, src)
 	want := m.Mul(col)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < rows; i++ {
 		for s := 0; s < symLen; s++ {
 			if dst[i][s] != want.At(i, s) {
 				t.Fatalf("MulVec mismatch at [%d][%d]", i, s)
+			}
+		}
+	}
+	// MulAddVec accumulates: adding the same product again cancels it.
+	m.MulAddVec(dst, src)
+	for i := 0; i < rows; i++ {
+		for s := 0; s < symLen; s++ {
+			if dst[i][s] != 0 {
+				t.Fatalf("MulAddVec did not accumulate at [%d][%d]", i, s)
 			}
 		}
 	}

@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"fecperf/internal/core"
-	"fecperf/internal/gf256"
-	"fecperf/internal/matrix"
 	"fecperf/internal/symbol"
 )
 
@@ -50,7 +48,7 @@ type payloadDecoder struct {
 	blocks  []pdBlock
 	pending int // blocks not yet decoded
 	srcRec  int
-	rhs     [][]byte // decodeBlock scratch, reused across blocks
+	solver  erasureSolver // decodeBlock scratch, reused across blocks
 }
 
 // pdBlock buffers one in-flight block. Received source payloads go
@@ -97,63 +95,15 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 
 // decodeBlock rebuilds the block's missing source symbols from the k_b
 // received ones (MDS: any k_b distinct symbols suffice) and releases the
-// buffered parity.
+// buffered parity. The block holds exactly as many parity symbols as it
+// lacks sources, and the decoder owns those buffers, so the erasure
+// solve reduces them in place.
 func (d *payloadDecoder) decodeBlock(bi int) {
 	b := &d.blocks[bi]
 	bd := d.code.blocks[bi]
-	missing := 0
-	for esi := 0; esi < bd.kb; esi++ {
-		if !b.got[esi] {
-			missing++
-		}
-	}
-	if missing > 0 {
-		// Select the k_b received rows of the systematic matrix (identity
-		// for sources, generator rows for parity), invert, and multiply
-		// only the rows of missing sources. All scratch is pooled or
-		// reused: matrices borrow pool buffers, rhs persists on the
-		// decoder, so a block decode costs zero heap allocations.
+	if b.parity != nil { // some source is missing: k_b symbols include parity
 		g := d.code.generator(bd.kb, bd.nb)
-		rows := matrix.NewPooled(bd.kb, bd.kb)
-		inv := matrix.NewPooled(bd.kb, bd.kb)
-		if cap(d.rhs) < bd.kb {
-			d.rhs = make([][]byte, 0, bd.kb)
-		}
-		rhs := d.rhs[:0]
-		for esi, used := 0, 0; esi < bd.nb && used < bd.kb; esi++ {
-			if !b.got[esi] {
-				continue
-			}
-			if esi < bd.kb {
-				rows.Set(used, esi, 1)
-				rhs = append(rhs, d.src[bd.srcOff+esi])
-			} else {
-				copy(rows.Row(used), g.Row(esi-bd.kb))
-				rhs = append(rhs, b.parity[esi])
-			}
-			used++
-		}
-		if err := rows.InvertTo(&inv); err != nil {
-			// Any kb distinct rows of a systematic MDS matrix are
-			// independent; reaching this is a construction bug.
-			panic(fmt.Sprintf("rse: decode matrix singular (should be impossible for MDS): %v", err))
-		}
-		for esi := 0; esi < bd.kb; esi++ {
-			if b.got[esi] {
-				continue
-			}
-			out := symbol.Get(d.symLen)
-			row := inv.Row(esi)
-			for t, c := range row {
-				if c != 0 {
-					gf256.AddMul(out, rhs[t], c)
-				}
-			}
-			d.src[bd.srcOff+esi] = out
-			d.srcRec++
-		}
-		rows.Release()
-		inv.Release()
+		d.srcRec += d.solver.solve(g, d.src[bd.srcOff:bd.srcOff+bd.kb], b.parity[bd.kb:], d.symLen)
 	}
 	symbol.PutAll(b.parity)
 	b.parity = nil

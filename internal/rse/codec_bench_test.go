@@ -126,3 +126,47 @@ func BenchmarkCodecDecodeK32(b *testing.B) {
 		dec.Close()
 	}
 }
+
+// BenchmarkCodecDecodeK256 measures the incremental payload decoder at
+// the cast geometry (k=256, ratio 1.5: two 128/192 blocks, 1 KiB
+// symbols) under a tx4-like delivery: a random permutation of all 384
+// packets, so about a third of the symbols a block decodes from are
+// parity.
+func BenchmarkCodecDecodeK256(b *testing.B) {
+	const k = 256
+	c, err := New(Params{K: k, Ratio: benchRatio})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	src := make([][]byte, k)
+	for i := range src {
+		src[i] = make([]byte, benchSymLen)
+		rng.Read(src[i])
+	}
+	parity, err := c.Encode(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := append(append([][]byte{}, src...), parity...)
+	order := rng.Perm(c.Layout().N)
+	b.SetBytes(k * benchSymLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec, err := c.NewDecoder(benchSymLen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		done := false
+		for _, id := range order {
+			if done = dec.ReceivePayload(id, all[id]); done {
+				break
+			}
+		}
+		if !done {
+			b.Fatal("decode incomplete")
+		}
+		dec.Close()
+	}
+}

@@ -11,8 +11,11 @@
 //
 // The code is MDS: a block with k_b source symbols decodes from any k_b of
 // its n_b symbols. The structural receiver used by the simulations exploits
-// exactly that property; the payload codec performs real encode/decode with
-// matrix inversion for applications that carry data.
+// exactly that property; the payload codec performs real encode/decode for
+// applications that carry data. Decode is erasure-only, as in Rizzo's
+// fec.c: a block missing e sources strips its received sources out of e
+// received parity symbols and inverts just the e×e system left in the
+// missing ones, so its cost follows the losses, not k_b.
 package rse
 
 import (
@@ -179,10 +182,11 @@ func (c *Code) NewReceiver() core.Receiver {
 }
 
 type receiver struct {
-	code    *Code
-	got     [][]bool
-	count   []int
-	pending int // blocks not yet decodable
+	code     *Code
+	got      [][]bool
+	count    []int
+	pending  int // blocks not yet decodable
+	buffered int // symbols held by blocks not yet decodable
 }
 
 func (r *receiver) Receive(id int) bool {
@@ -195,7 +199,13 @@ func (r *receiver) Receive(id int) bool {
 	}
 	r.got[bi][esi] = true
 	r.count[bi]++
-	if r.count[bi] == r.code.blocks[bi].kb {
+	switch kb := r.code.blocks[bi].kb; {
+	case r.count[bi] < kb:
+		r.buffered++
+	case r.count[bi] == kb:
+		// The block decodes: its k_b-1 buffered symbols and this one
+		// stream out.
+		r.buffered -= kb - 1
 		r.pending--
 	}
 	return r.Done()
@@ -205,16 +215,9 @@ func (r *receiver) Done() bool { return r.pending == 0 }
 
 // BufferedSymbols implements core.MemoryReporter: symbols of undecoded
 // blocks must be buffered; a decoded block's sources stream out to the
-// application and its parity is dropped.
-func (r *receiver) BufferedSymbols() int {
-	total := 0
-	for bi, bd := range r.code.blocks {
-		if r.count[bi] < bd.kb {
-			total += r.count[bi]
-		}
-	}
-	return total
-}
+// application and its parity is dropped. Receive keeps the count, so
+// this is O(1) however many blocks the object has.
+func (r *receiver) BufferedSymbols() int { return r.buffered }
 
 func (r *receiver) SourceRecovered() int {
 	total := 0
@@ -355,7 +358,11 @@ func (c *Code) Encode(src [][]byte) ([][]byte, error) {
 
 // DecodeBlock rebuilds the k_b source payloads of block bi from any k_b (or
 // more) received symbols. esis are in-block symbol indices (source symbols
-// are 0..kb-1, parity kb..nb-1) aligned with payloads.
+// are 0..kb-1, parity kb..nb-1) aligned with payloads, which are only
+// read. The result holds pooled buffers owned by the caller (release with
+// symbol.Put, or drop them to the GC). Missing sources come from the same
+// erasure-only solve as the incremental decoder, fed with the first
+// received parity symbols.
 func (c *Code) DecodeBlock(bi int, esis []int, payloads [][]byte) ([][]byte, error) {
 	if bi < 0 || bi >= len(c.blocks) {
 		return nil, fmt.Errorf("rse: block %d outside [0,%d)", bi, len(c.blocks))
@@ -370,66 +377,46 @@ func (c *Code) DecodeBlock(bi int, esis []int, payloads [][]byte) ([][]byte, err
 	}
 
 	out := make([][]byte, bd.kb)
-	// Fast path: take received source symbols as-is; note missing ones.
-	received := make(map[int]int, len(esis)) // esi -> payload index
+	parity := make([][]byte, bd.nb-bd.kb)
+	sources, distinct := 0, 0
 	for i, esi := range esis {
 		if esi < 0 || esi >= bd.nb {
 			return nil, fmt.Errorf("rse: symbol index %d outside [0,%d)", esi, bd.nb)
 		}
-		if _, dup := received[esi]; dup {
-			continue
+		switch {
+		case esi < bd.kb && out[esi] == nil:
+			out[esi] = symbol.Clone(payloads[i])
+			sources++
+		case esi >= bd.kb && parity[esi-bd.kb] == nil:
+			parity[esi-bd.kb] = payloads[i]
+		default:
+			continue // duplicate
 		}
-		received[esi] = i
-		if esi < bd.kb {
-			out[esi] = append([]byte(nil), payloads[i]...)
-		}
+		distinct++
 	}
-	missing := 0
-	for i := 0; i < bd.kb; i++ {
-		if out[i] == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
+	if sources == bd.kb {
 		return out, nil
 	}
-	if len(received) < bd.kb {
-		return nil, fmt.Errorf("rse: block %d undecodable: %d distinct symbols < k_b=%d", bi, len(received), bd.kb)
+	if distinct < bd.kb {
+		symbol.PutAll(out)
+		return nil, fmt.Errorf("rse: block %d undecodable: %d distinct symbols < k_b=%d", bi, distinct, bd.kb)
 	}
-
-	// General path: pick kb received rows of the systematic matrix (identity
-	// rows for source symbols, generator rows for parity), invert, multiply.
-	g := c.generator(bd.kb, bd.nb)
-	rows := matrix.New(bd.kb, bd.kb)
-	rhs := make([][]byte, 0, bd.kb)
-	used := 0
-	for esi := 0; esi < bd.nb && used < bd.kb; esi++ {
-		pi, ok := received[esi]
-		if !ok {
+	// The solve reduces the parity it uses in place: hand it copies of
+	// the first e received, and nothing else.
+	for r, e := 0, bd.kb-sources; r < len(parity); r++ {
+		if parity[r] == nil {
 			continue
 		}
-		if esi < bd.kb {
-			rows.Set(used, esi, 1)
+		if e > 0 {
+			parity[r] = symbol.Clone(parity[r])
+			e--
 		} else {
-			copy(rows.Row(used), g.Row(esi-bd.kb))
-		}
-		rhs = append(rhs, payloads[pi])
-		used++
-	}
-	inv, err := rows.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("rse: decode matrix singular (should be impossible for MDS): %w", err)
-	}
-	dec := make([][]byte, bd.kb)
-	for i := range dec {
-		dec[i] = make([]byte, symLen)
-	}
-	inv.MulVec(dec, rhs)
-	for i := 0; i < bd.kb; i++ {
-		if out[i] == nil {
-			out[i] = dec[i]
+			parity[r] = nil
 		}
 	}
+	var s erasureSolver
+	s.solve(c.generator(bd.kb, bd.nb), out, parity, symLen)
+	symbol.PutAll(parity)
 	return out, nil
 }
 

@@ -408,3 +408,42 @@ func TestBufferedSymbols(t *testing.T) {
 		t.Fatalf("BufferedSymbols = %d after block decode, want 0", got)
 	}
 }
+
+// scanBufferedSymbols is the per-block scan BufferedSymbols replaced
+// with a running count, kept as its oracle.
+func scanBufferedSymbols(r *receiver) int {
+	total := 0
+	for bi, bd := range r.code.blocks {
+		if r.count[bi] < bd.kb {
+			total += r.count[bi]
+		}
+	}
+	return total
+}
+
+// TestBufferedSymbolsMatchesScan checks the running count against the
+// scan after every packet of random receive sequences over multi-block
+// objects, duplicates and packets for already-decoded blocks included.
+func TestBufferedSymbolsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 30; trial++ {
+		c := mustNew(t, Params{K: 1 + rng.Intn(120), Ratio: 1 + rng.Float64()*2, MaxBlock: 10 + rng.Intn(40)})
+		n := c.Layout().N
+		rx := c.NewReceiver().(*receiver)
+		for step := 0; step < 3*n; step++ {
+			rx.Receive(rng.Intn(n)) // repeats ids, keeps going past Done
+			if got, want := rx.BufferedSymbols(), scanBufferedSymbols(rx); got != want {
+				t.Fatalf("trial %d step %d: BufferedSymbols = %d, scan = %d", trial, step, got, want)
+			}
+		}
+		for id := 0; id < n; id++ { // complete it; late packets after decode
+			rx.Receive(id)
+			if got, want := rx.BufferedSymbols(), scanBufferedSymbols(rx); got != want {
+				t.Fatalf("trial %d sweep %d: BufferedSymbols = %d, scan = %d", trial, id, got, want)
+			}
+		}
+		if !rx.Done() || rx.BufferedSymbols() != 0 {
+			t.Fatalf("trial %d: done=%v buffered=%d after every packet", trial, rx.Done(), rx.BufferedSymbols())
+		}
+	}
+}

@@ -6,10 +6,10 @@
 // receiver decodes from exactly k packets, whatever the schedule.
 //
 // What it costs is arithmetic: multiplications go through log/exp tables
-// instead of a flat 64 KiB product table, and decode inversion is cubic
-// in the number of erased source symbols of the (single, huge) block. The
-// package exists to quantify the paper's claim; see the speed benchmarks
-// and the ablation experiment.
+// instead of a flat 64 KiB product table, and decode solves, erasure-only,
+// an e×e system for the e erased source symbols of the (single, huge)
+// block, which is cubic in e. The package exists to quantify the paper's
+// claim; see the speed benchmarks and the ablation experiment.
 //
 // Payloads are interpreted as sequences of big-endian 16-bit symbols;
 // PayloadSize must therefore be even.
@@ -165,13 +165,18 @@ func invert(a [][]uint16) [][]uint16 {
 }
 
 // invertInto is invert writing into caller-supplied (zeroed, n×n) rows —
-// the hot decode path hands it pooled scratch so inversion allocates
-// nothing.
+// the hot decode path hands it pooled scratch. Columns left of the
+// pivot are already reduced to the identity, so elimination only
+// touches the workspace from the pivot column on, and each pivot row is
+// converted to logarithms once for all the rows it eliminates from,
+// four rows per pass.
 func invertInto(a, inv [][]uint16) {
 	n := len(a)
 	for i := range inv {
 		inv[i][i] = 1
 	}
+	logA, logInv, coef := symbol.GetU16(n), symbol.GetU16(n), symbol.GetU16(n)
+	rowsA, rowsInv := make([][]uint16, 0, n), make([][]uint16, 0, n)
 	for col := 0; col < n; col++ {
 		pivot := -1
 		for r := col; r < n; r++ {
@@ -187,17 +192,25 @@ func invertInto(a, inv [][]uint16) {
 		inv[col], inv[pivot] = inv[pivot], inv[col]
 		if p := a[col][col]; p != 1 {
 			ip := gf65536.Inv(p)
-			gf65536.MulSlice(a[col], a[col], ip)
+			gf65536.MulSlice(a[col][col:], a[col][col:], ip)
 			gf65536.MulSlice(inv[col], inv[col], ip)
 		}
+		rowsA, rowsInv, coef = rowsA[:0], rowsInv[:0], coef[:0]
 		for r := 0; r < n; r++ {
-			if r != col && a[r][col] != 0 {
-				cc := a[r][col]
-				gf65536.AddMul(a[r], a[col], cc)
-				gf65536.AddMul(inv[r], inv[col], cc)
+			if cc := a[r][col]; r != col && cc != 0 {
+				rowsA = append(rowsA, a[r][col:])
+				rowsInv = append(rowsInv, inv[r])
+				coef = append(coef, cc)
 			}
 		}
+		gf65536.Logs(logA[col:], a[col][col:])
+		gf65536.Logs(logInv, inv[col])
+		addMulLogsRows(rowsA, logA[col:], coef)
+		addMulLogsRows(rowsInv, logInv, coef)
 	}
+	symbol.PutU16(logA)
+	symbol.PutU16(logInv)
+	symbol.PutU16(coef[:n])
 }
 
 // matVecRow computes row · m for a 1×n row and n×n matrix.
@@ -211,18 +224,8 @@ func matVecRow(row []uint16, m [][]uint16) []uint16 {
 	return out
 }
 
-// toSymbols reinterprets a byte payload as big-endian 16-bit symbols.
-func toSymbols(p []byte) ([]uint16, error) {
-	if len(p)%2 != 0 {
-		return nil, fmt.Errorf("rse16: payload length %d is odd", len(p))
-	}
-	out := make([]uint16, len(p)/2)
-	fillSymbols(out, p)
-	return out, nil
-}
-
-// toSymbolsPooled is toSymbols into a pooled slice; release with
-// symbol.PutU16.
+// toSymbolsPooled reinterprets a byte payload as big-endian 16-bit
+// symbols in a pooled slice; release with symbol.PutU16.
 func toSymbolsPooled(p []byte) ([]uint16, error) {
 	if len(p)%2 != 0 {
 		return nil, fmt.Errorf("rse16: payload length %d is odd", len(p))
@@ -310,8 +313,8 @@ type payloadDecoder struct {
 	symLen int
 	got    []bool
 	srcVal [][]byte // received/rebuilt source payloads by ID (pooled)
-	parIDs []int
-	parPay [][]byte // pooled parity copies aligned with parIDs
+	parRow []int    // generator rows (ID minus k) of the buffered parity
+	parPay [][]byte // pooled parity copies aligned with parRow
 	seen   int
 	srcRec int
 	done   bool
@@ -333,7 +336,7 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 		d.srcVal[id] = symbol.Clone(payload)
 		d.srcRec++
 	} else {
-		d.parIDs = append(d.parIDs, id)
+		d.parRow = append(d.parRow, id-d.code.k)
 		d.parPay = append(d.parPay, symbol.Clone(payload))
 	}
 	if d.seen == d.code.k {
@@ -342,75 +345,16 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 	return d.done
 }
 
-// decode solves the single MDS block from the k buffered symbols. All
-// matrix scratch — equation rows, right-hand sides, the inverse and the
-// accumulator — is pooled []uint16, so a steady-state decode allocates
-// only the recovered payload buffers it hands to the caller.
+// decode solves the single MDS block from the k buffered symbols: the
+// buffered parity count is exactly the number of missing sources, which
+// is what the erasure-only solve consumes.
 func (d *payloadDecoder) decode() {
-	if d.srcRec < d.code.k {
-		k := d.code.k
-		gen := d.code.generator()
-		rows := make([][]uint16, 0, k)
-		rhs := make([][]uint16, 0, k)
-		for id := 0; id < d.code.n && len(rows) < k; id++ {
-			if !d.got[id] {
-				continue
-			}
-			row := symbol.GetU16(k)
-			var pay []byte
-			if id < k {
-				row[id] = 1
-				pay = d.srcVal[id]
-			} else {
-				copy(row, gen[id-k])
-				pay = d.parPay[d.parityAt(id)]
-			}
-			s, err := toSymbolsPooled(pay)
-			if err != nil {
-				// Lengths were validated at ReceivePayload; unreachable.
-				panic(fmt.Sprintf("rse16: %v", err))
-			}
-			rows = append(rows, row)
-			rhs = append(rhs, s)
-		}
-		inv := make([][]uint16, k)
-		for i := range inv {
-			inv[i] = symbol.GetU16(k)
-		}
-		invertInto(rows, inv)
-		acc := symbol.GetU16(d.symLen / 2)
-		for i := 0; i < k; i++ {
-			if d.srcVal[i] != nil {
-				continue
-			}
-			clear(acc)
-			for t, coef := range inv[i] {
-				if coef != 0 {
-					gf65536.AddMul(acc, rhs[t], coef)
-				}
-			}
-			d.srcVal[i] = toBytes(acc)
-			d.srcRec++
-		}
-		symbol.PutU16(acc)
-		symbol.PutAllU16(rows)
-		symbol.PutAllU16(rhs)
-		symbol.PutAllU16(inv)
+	if d.srcRec < d.code.k { // all-source delivery never builds the generator
+		d.srcRec += solve(d.code.generator(), d.srcVal, d.parRow, d.parPay, d.symLen)
 	}
 	symbol.PutAll(d.parPay)
-	d.parPay, d.parIDs = nil, nil
+	d.parPay, d.parRow = nil, nil
 	d.done = true
-}
-
-// parityAt returns the parPay index holding parity id. Linear scan: at
-// most k entries, and the cubic inversion dominates decode anyway.
-func (d *payloadDecoder) parityAt(id int) int {
-	for i, pid := range d.parIDs {
-		if pid == id {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("rse16: parity %d not buffered", id))
 }
 
 func (d *payloadDecoder) Done() bool { return d.done }
@@ -430,14 +374,16 @@ func (d *payloadDecoder) Close() {
 }
 
 // Decode rebuilds the k source payloads from any k received (id, payload)
-// pairs. IDs below k are source symbols (identity rows).
+// pairs. IDs below k are source symbols (identity rows). Missing sources
+// come from the erasure-only solve the payload decoder uses, fed with the
+// lowest-ID received parity; rebuilt payloads are pooled buffers.
 func (c *Code) Decode(ids []int, payloads [][]byte) ([][]byte, error) {
 	if len(ids) != len(payloads) {
 		return nil, fmt.Errorf("rse16: %d ids but %d payloads", len(ids), len(payloads))
 	}
 	out := make([][]byte, c.k)
 	received := make(map[int]int, len(ids))
-	symLen := -1
+	symLen, sources := -1, 0
 	for i, id := range ids {
 		if id < 0 || id >= c.n {
 			return nil, fmt.Errorf("rse16: packet id %d outside [0,%d)", id, c.n)
@@ -453,54 +399,26 @@ func (c *Code) Decode(ids []int, payloads [][]byte) ([][]byte, error) {
 		received[id] = i
 		if id < c.k {
 			out[id] = append([]byte(nil), payloads[i]...)
+			sources++
 		}
 	}
-	missing := 0
-	for i := 0; i < c.k; i++ {
-		if out[i] == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
+	if sources == c.k {
 		return out, nil
 	}
 	if len(received) < c.k {
 		return nil, fmt.Errorf("rse16: undecodable: %d distinct symbols < k=%d", len(received), c.k)
 	}
-
-	gen := c.generator()
-	rows := make([][]uint16, 0, c.k)
-	rhs := make([][]uint16, 0, c.k)
-	for id := 0; id < c.n && len(rows) < c.k; id++ {
-		pi, ok := received[id]
-		if !ok {
-			continue
-		}
-		row := make([]uint16, c.k)
-		if id < c.k {
-			row[id] = 1
-		} else {
-			copy(row, gen[id-c.k])
-		}
-		s, err := toSymbols(payloads[pi])
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		rhs = append(rhs, s)
+	if symLen%2 != 0 {
+		return nil, fmt.Errorf("rse16: payload length %d is odd", symLen)
 	}
-	inv := invert(rows)
-	for i := 0; i < c.k; i++ {
-		if out[i] != nil {
-			continue
+	var rows []int
+	var parity [][]byte
+	for id := c.k; id < c.n && len(rows) < c.k-sources; id++ {
+		if pi, ok := received[id]; ok {
+			rows = append(rows, id-c.k)
+			parity = append(parity, payloads[pi])
 		}
-		acc := make([]uint16, symLen/2)
-		for t, coef := range inv[i] {
-			if coef != 0 {
-				gf65536.AddMul(acc, rhs[t], coef)
-			}
-		}
-		out[i] = toBytes(acc)
 	}
+	solve(c.generator(), out, rows, parity, symLen)
 	return out, nil
 }

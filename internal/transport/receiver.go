@@ -470,7 +470,10 @@ func (d *ReceiverDaemon) dropWaiter(id uint32, ch chan []byte) {
 	}
 }
 
-// Stats returns a snapshot of the daemon's counters.
+// Stats returns the daemon's counters. Each field is loaded on its own,
+// so while Run is active the fields are not one consistent snapshot: a
+// datagram can be counted as seen before it is counted as ingested or
+// discarded. Once Run has returned, the fields are settled and add up.
 func (d *ReceiverDaemon) Stats() Stats {
 	return Stats{
 		PacketsSeen:         d.packetsSeen.Load(),

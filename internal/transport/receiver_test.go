@@ -11,13 +11,14 @@ import (
 )
 
 // runDaemon starts a daemon over conn and returns a stop function that
-// cancels it and waits for Run to return.
+// cancels it and waits for Run to return. Stop is idempotent, so a test
+// may stop early (to read settled Stats) and still defer it.
 func runDaemon(t *testing.T, d *ReceiverDaemon) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- d.Run(ctx) }()
-	return func() {
+	return sync.OnceFunc(func() {
 		cancel()
 		select {
 		case err := <-done:
@@ -27,7 +28,7 @@ func runDaemon(t *testing.T, d *ReceiverDaemon) (stop func()) {
 		case <-time.After(5 * time.Second):
 			t.Error("daemon did not stop on cancel")
 		}
-	}
+	})
 }
 
 func TestReceiverDaemonDecodesLosslessBroadcast(t *testing.T) {
@@ -103,6 +104,12 @@ func TestReceiverDaemonMultiObjectAndStats(t *testing.T) {
 		if !bytes.Equal(data, f) {
 			t.Fatalf("object %d corrupted", id)
 		}
+	}
+	// The read loop may still be counting round-2 datagrams, and it calls
+	// OnComplete after waking WaitObject: stop it (stop waits for Run to
+	// return) so the callbacks and counters below are settled.
+	stop()
+	for id, f := range files {
 		if got, ok := completions.Load(id); !ok || !bytes.Equal(got.([]byte), f) {
 			t.Fatalf("OnComplete missing or wrong for object %d", id)
 		}

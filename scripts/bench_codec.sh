@@ -10,7 +10,9 @@
 # The JSON keeps old and new kernels side by side: the *_scalar tiers
 # are the portable log/exp reference loops, *_table the previous
 # byte-at-a-time full-table kernels, and the unsuffixed numbers the
-# row-blocked pooled paths that replaced them.
+# row-blocked pooled paths that replaced them. The *_tx4 rows decode at
+# the cast geometries (rse k=256 and rse16 k=1024, ratio 1.5) from a
+# random transmission order, so about a third of the symbols are parity.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,7 +26,7 @@ trap 'rm -f "$RAW"' EXIT
 # parser so the JSON records what hardware the numbers mean.
 go test -run 'TestKernelTier' -v -bench 'CodecEncode|CodecDecode|Kernel|Session' \
     -benchtime "$BENCHTIME" -count 1 \
-    ./internal/rse ./internal/codes ./internal/gf256 ./internal/gf65536 ./internal/session \
+    ./internal/rse ./internal/rse16 ./internal/codes ./internal/gf256 ./internal/gf65536 ./internal/session \
     | tee "$RAW"
 
 awk -v out="$OUT" '
@@ -48,6 +50,10 @@ END {
         print "bench_codec: missing RS encode tier output" > "/dev/stderr"
         exit 1
     }
+    if (mbps["CodecDecodeK256"] == "" || mbps["CodecDecodeK1024"] == "") {
+        print "bench_codec: missing cast-geometry decode output" > "/dev/stderr"
+        exit 1
+    }
     printf "{\n" > out
     printf "  \"benchmark\": \"codec\",\n" >> out
     printf "  \"cpu\": \"%s\",\n", cpu >> out
@@ -62,6 +68,10 @@ END {
     printf "    \"decode_mb_per_sec\": %s,\n", mbps["CodecDecodeK32"] >> out
     printf "    \"decode_allocs_per_op\": %s\n", allocs["CodecDecodeK32"] >> out
     printf "  },\n" >> out
+    printf "  \"rs_k256_tx4_1k\": {\"decode_mb_per_sec\": %s, \"decode_allocs_per_op\": %s},\n", \
+        mbps["CodecDecodeK256"], allocs["CodecDecodeK256"] >> out
+    printf "  \"rse16_k1024_tx4_1k\": {\"decode_mb_per_sec\": %s, \"decode_allocs_per_op\": %s},\n", \
+        mbps["CodecDecodeK1024"], allocs["CodecDecodeK1024"] >> out
     printf "  \"families\": {\n" >> out
     fam("rse",            "CodecEncode/rse",            "CodecDecode/rse");            printf ",\n" >> out
     fam("rse16",          "CodecEncode/rse16",          "CodecDecode/rse16");          printf ",\n" >> out
@@ -82,7 +92,8 @@ END {
         mbps["XorKernel"], mbps["XorKernelWords"], mbps["XorKernelScalar"] >> out
     printf "  },\n" >> out
     printf "  \"gf65536_kernels_mb_per_sec\": {\n" >> out
-    printf "    \"addmul\": %s, \"addmul_scalar\": %s,\n", mbps["AddMulKernelGF16"], mbps["AddMulKernelGF16Scalar"] >> out
+    printf "    \"addmul\": %s, \"addmul_scalar\": %s, \"addmul_logs\": %s,\n", \
+        mbps["AddMulKernelGF16"], mbps["AddMulKernelGF16Scalar"], mbps["AddMulLogsKernelGF16"] >> out
     printf "    \"xor\": %s, \"xor_scalar\": %s\n", mbps["XorKernelGF16"], mbps["XorKernelGF16Scalar"] >> out
     printf "  },\n" >> out
     printf "  \"session\": {\n" >> out
