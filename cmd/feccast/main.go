@@ -135,7 +135,7 @@ func runSend(args []string) error {
 	seed := fs.Int64("seed", 1, "seed for code construction and scheduling")
 	tx := fs.String("tx", "tx4", "transmission model tx1..tx6, parameterized forms tx6(frac=0.3), carousel(inner=tx4,rounds=3)")
 	rate := fs.Float64("rate", 5000, "packets per second (0 = unpaced)")
-	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 or 1 = one syscall per packet; also spec key batch=n)")
+	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 = default 32, 1 = one syscall per packet; also spec key batch=n)")
 	rounds := fs.Int("rounds", 0, "carousel rounds (0 = loop until interrupted)")
 	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint")
@@ -244,7 +244,7 @@ func runRecv(args []string) error {
 	count := fs.Int("count", 1, "exit after decoding this many objects (0 = run forever)")
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = no limit)")
 	mtu := fs.Int("mtu", 2048, "read buffer size (header + max payload)")
-	batch := fs.Int("batch", 0, "datagrams per kernel read batch, up to 64 (0 = default 16, 1 = one syscall per packet)")
+	batch := fs.Int("batch", 0, "datagrams per kernel read batch, up to 64 (0 = default 32, 1 = one syscall per packet)")
 	statsEvery := fs.Duration("stats", 5*time.Second, "stats reporting interval (0 = silent)")
 	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090")`)
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint")
@@ -338,7 +338,7 @@ func runCast(args []string) error {
 	fs := flag.NewFlagSet("feccast cast", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9900", "destination host:port (multicast groups work)")
 	file := fs.String("file", "", `file to stream ("-" = stdin; required)`)
-	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 or 1 = one syscall per packet; also spec key batch=n)")
+	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 = default 32, 1 = one syscall per packet; also spec key batch=n)")
 	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "codec=rse(k=256,ratio=1.5),sched=tx4,rate=8000,object=7,window=4,rounds=2"`)
 	progress := fs.Bool("progress", false, "report per-window progress on stderr")
 	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)
@@ -399,7 +399,7 @@ func runCollect(args []string) error {
 	addr := fs.String("addr", ":9900", "listen host:port (multicast groups are joined)")
 	out := fs.String("out", "", `output file ("-" = stdout; required)`)
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = no limit)")
-	batch := fs.Int("batch", 0, "datagrams per kernel read batch, up to 64 (0 = default 16, 1 = one syscall per packet; also spec key batch=n)")
+	batch := fs.Int("batch", 0, "datagrams per kernel read batch, up to 64 (0 = default 32, 1 = one syscall per packet; also spec key batch=n)")
 	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "object=7,payload=1024,pending=64"`)
 	progress := fs.Bool("progress", false, "report per-chunk progress on stderr")
 	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)

@@ -82,7 +82,7 @@ func run(ctx context.Context, hup <-chan os.Signal, args []string, stdout, stder
 	control := fs.String("control", "127.0.0.1:9890", "control + metrics listen address (HTTP)")
 	rate := fs.Float64("rate", 0, "global send budget in packets per second, shared by every cast (0 = unpaced)")
 	burst := fs.Int("burst", 0, "global token-bucket depth in packets (0 = default)")
-	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 or 1 = one syscall per packet)")
+	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 = default 32, 1 = one syscall per packet)")
 	castsFile := fs.String("casts", "", "cast spec file: one cast per line, #-comments; SIGHUP re-reads it")
 	fs.Var(&casts, "cast", "one-line cast spec (repeatable), e.g. \"name=docs,addr=239.1.2.3:9900,file=docs.tar,weight=2\"")
 	drainTimeout := fs.Duration("drain-timeout", fecperf.DefaultDrainTimeout, "graceful-drain bound before in-flight casts are hard-cancelled")

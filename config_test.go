@@ -96,30 +96,6 @@ func TestOptionsComposeWithSpec(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesDeprecatedMeasure(t *testing.T) {
-	// The new spec-driven Simulate must reproduce the deprecated
-	// Measure exactly: same code, scheduler, channel, trials, seed.
-	code, err := NewCode("ldgm-staircase", 500, 2.5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Measure(Measurement{
-		Code: code, Scheduler: TxModel2(),
-		P: 0.01, Q: 0.79, Trials: 10, Seed: 7, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Simulate(WithSpec(
-		"codec=ldgm-staircase(k=500,ratio=2.5,seed=11),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=10,seed=7,workers=2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("Simulate = %+v, Measure = %+v", got, want)
-	}
-}
-
 func TestSimulateDefaults(t *testing.T) {
 	// No scheduler, no channel: tx4 over the perfect channel. Every
 	// trial then needs exactly the ideal packet count.

@@ -7,16 +7,11 @@ import (
 
 func TestDeliveryFacadeRoundTrip(t *testing.T) {
 	obj := bytes.Repeat([]byte("fecperf!"), 1000)
-	enc, err := EncodeForDelivery(obj, DeliveryConfig{
-		ObjectID:    5,
-		Family:      WireLDGMStaircase,
-		Ratio:       2.0,
-		PayloadSize: 128,
-		Seed:        7,
-	})
+	enc, err := NewObject(obj, WithSpec("codec=ldgm-staircase(ratio=2.0,seed=7),object=5,payload=128"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer enc.Close()
 	rx := NewDeliveryReceiver()
 	var got []byte
 	err = enc.Send(newRand(1), func(d []byte) error {

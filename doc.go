@@ -161,22 +161,22 @@
 // Gilbert-loss broadcast is one process with no sockets: see
 // examples/filecast. cmd/feccast is the same pipeline over real UDP.
 //
-// The datapath is kernel-batched. Every Conn accepts WriteBatch /
-// ReadBatch (transport.BatchConn; package-level helpers fall back to
-// per-datagram loops for any other Conn): on Linux amd64/arm64 the UDP
-// backend moves up to 64 datagrams per sendmmsg/recvmmsg crossing and
-// coalesces equal-size runs into UDP GSO superpackets (probed at dial
-// time, latched off on the first kernel refusal), while other
-// platforms keep the portable loop behind build tags. Configured with
-// a batch size (Config.BatchSize, spec key "batch", feccast -batch),
-// the carousel packs each round into a scratch region flushed as
-// full batches — one pacer debit and one kernel crossing per batch,
-// amortized zero allocations — and the receiver daemon drains its
-// socket a batch per crossing. Batching never changes the carousel:
-// the datagram sequence, loopback loss pattern (the channel chain
-// steps in 64-wide masks over the same splitmix64 stream) and decoded
-// bytes are identical to the scalar path, only syscall count and
-// pacing granularity change. scripts/bench_net.sh records the measured
+// The datapath is batch-native. TransportConn moves datagrams with
+// WriteBatch / ReadBatch, Send / Recv being the batch of one: on Linux
+// amd64/arm64 the UDP backend moves up to 64 datagrams per
+// sendmmsg/recvmmsg crossing and coalesces equal-size runs into UDP
+// GSO superpackets (probed at dial time, latched off on the first
+// kernel refusal), while other platforms build per-datagram loops
+// behind build tags. The carousel packs each round into a scratch
+// region flushed as full batches — one pacer debit and one kernel
+// crossing per batch, amortized zero allocations — and the receiver
+// daemon drains its socket a batch per crossing, 32 datagrams in both
+// directions by default (Config.BatchSize, spec key "batch", feccast
+// -batch; 1 moves one datagram per crossing). The batch size never
+// changes the carousel: the datagram sequence, loopback loss pattern
+// (the channel chain steps in 64-wide masks over the same splitmix64
+// stream) and decoded bytes are identical at every size, only syscall
+// count and pacing granularity change. scripts/bench_net.sh records the measured
 // speedup in BENCH_net.json (gated at 4x packets/s over the
 // per-datagram baseline on the mmsg datapath).
 //
@@ -360,10 +360,6 @@
 //	agg, _ := fecperf.Simulate(fecperf.WithSpec(
 //	    "codec=ldgm-staircase(k=1000,ratio=2.5),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=100"))
 //	fmt.Printf("mean inefficiency: %.3f\n", agg.MeanIneff())
-//
-// The pre-spec facade names (EncodeForDelivery, DialBroadcast, Measure,
-// ...) remain as thin deprecated wrappers; see the README's migration
-// table.
 //
 // See the examples/ directory for complete programs: streaming a file
 // through lossy broadcast (filecast), encoding and decoding real

@@ -59,20 +59,16 @@ func ExampleSimulate() {
 	// failures: 0, inefficiency: 1.000
 }
 
-// Measure one (code, schedule, channel) point: the paper's basic
-// experiment unit.
-func ExampleMeasure() {
-	code, err := fecperf.NewCode("ldgm-staircase", 1000, 2.5, 1)
-	if err != nil {
-		panic(err)
-	}
-	agg, err := fecperf.Measure(fecperf.Measurement{
-		Code:      code,
-		Scheduler: fecperf.TxModel2(),
-		P:         0, Q: 1, // perfect channel
-		Trials: 10,
-		Seed:   7,
-	})
+// The same measurement built from options instead of a spec line: one
+// (code, schedule, channel) point, the paper's basic experiment unit.
+func ExampleSimulate_options() {
+	agg, err := fecperf.Simulate(
+		fecperf.WithCodec("ldgm-staircase(k=1000,ratio=2.5,seed=1)"),
+		fecperf.WithScheduler("tx2"),
+		fecperf.WithChannel("gilbert(p=0,q=1)"), // perfect channel
+		fecperf.WithTrials(10),
+		fecperf.WithSeed(7),
+	)
 	if err != nil {
 		panic(err)
 	}

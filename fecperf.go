@@ -147,8 +147,9 @@ type Config struct {
 	// hot paths (key "batch"): casters and broadcasters flush
 	// BatchSize-datagram batches through one batch write (sendmmsg/GSO
 	// on Linux UDP, one lock per batch on the loopback) and collectors
-	// read up to BatchSize datagrams per crossing. 0 keeps the scalar
-	// per-datagram paths; values above 64 are clamped.
+	// read up to BatchSize datagrams per crossing. 0 selects 32 in both
+	// directions, 1 moves one datagram per crossing (a batch of one);
+	// values above 64 are clamped.
 	BatchSize int
 	// BaseObjectID tags delivery objects; a cast train's manifest rides
 	// at this ID, chunk i at BaseObjectID+1+i (key "object").
@@ -312,7 +313,7 @@ func WithPacer(p Pacer) Option {
 }
 
 // WithBatchSize groups datagrams per kernel crossing on the transport
-// hot paths (0 = scalar per-datagram I/O).
+// hot paths (0 = the default 32, 1 = one datagram per crossing).
 func WithBatchSize(n int) Option {
 	return func(c *Config) error {
 		c.BatchSize = n

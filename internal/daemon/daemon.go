@@ -25,8 +25,8 @@ type Config struct {
 	// Burst is the shared pacer's global bucket depth in packets
 	// (0 = transport.DefaultSharedBurst).
 	Burst int
-	// BatchSize is the default sender batch size for casts that do not
-	// set their own.
+	// BatchSize is the sender batch size for casts that do not set their
+	// own (0 = transport.DefaultBatch, 1 = one datagram per write).
 	BatchSize int
 	// DrainTimeout bounds Drain (default DefaultDrainTimeout).
 	DrainTimeout time.Duration

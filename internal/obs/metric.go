@@ -121,8 +121,13 @@ func NewHistogram(bounds []int64, unit float64) *Histogram {
 
 // Observe records one value. Nil-safe; lock-free (a binary search over
 // the bounds plus two atomic adds).
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value for the price of
+// one, so a hot loop can tally a repeated value locally and publish it
+// in bulk.
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	// Binary search for the first bound >= v; typical bucket counts
@@ -136,8 +141,8 @@ func (h *Histogram) Observe(v int64) {
 			hi = mid
 		}
 	}
-	h.counts[lo].Add(1)
-	h.sum.Add(v)
+	h.counts[lo].Add(n)
+	h.sum.Add(v * int64(n))
 }
 
 // Snapshot captures the histogram's current state as a mergeable value.

@@ -11,6 +11,8 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/core"
+	"fecperf/internal/sched"
+	"fecperf/internal/session"
 	"fecperf/internal/wire"
 )
 
@@ -44,7 +46,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 		d[0] = byte(i >> 8)
 		batch = append(batch, d)
 	}
-	n, err := WriteBatch(tx, batch)
+	n, err := tx.WriteBatch(batch)
 	if n != len(batch) || err != nil {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(batch))
 	}
@@ -55,7 +57,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 2048)
 		}
-		m, err := ReadBatch(rx, bufs)
+		m, err := rx.ReadBatch(bufs)
 		if err != nil {
 			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
 		}
@@ -86,7 +88,7 @@ func TestUDPBatchEqualSizeGSO(t *testing.T) {
 		d[0], d[1] = byte(i>>8), byte(i)
 		batch[i] = d
 	}
-	if n, err := WriteBatch(tx, batch); n != count || err != nil {
+	if n, err := tx.WriteBatch(batch); n != count || err != nil {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, count)
 	}
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
@@ -95,7 +97,7 @@ func TestUDPBatchEqualSizeGSO(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 2048)
 		}
-		m, err := ReadBatch(rx, bufs)
+		m, err := rx.ReadBatch(bufs)
 		if err != nil {
 			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
 		}
@@ -120,7 +122,7 @@ func TestUDPReadBatchTruncation(t *testing.T) {
 	}
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 	bufs := []wire.Datagram{make([]byte, 100)}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if n != 1 || err != nil {
 		t.Fatalf("ReadBatch = %d, %v", n, err)
 	}
@@ -135,7 +137,7 @@ func TestUDPBatchDeadline(t *testing.T) {
 	rx, _ := udpPair(t)
 	rx.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
 	bufs := []wire.Datagram{make([]byte, 64)}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if n != 0 || !isTimeout(err) {
 		t.Fatalf("ReadBatch past deadline = %d, %v; want 0 and a timeout", n, err)
 	}
@@ -143,8 +145,10 @@ func TestUDPBatchDeadline(t *testing.T) {
 
 // TestUDPWriteBatchICMPSwallowed writes batches at a port nothing
 // listens on: the kernel's async ICMP feedback (connection refused)
-// must be swallowed exactly as the scalar Send swallows it — a
-// broadcast is feedback-free.
+// must be swallowed — a broadcast is feedback-free. On the loopback
+// interface the port-unreachable for one datagram is queued on the
+// socket before the next is sent, so every batch meets pending errors
+// mid-crossing.
 func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 	probe, err := ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -161,67 +165,22 @@ func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 	for i := range batch {
 		batch[i] = bytes.Repeat([]byte{1}, 128)
 	}
-	// The first write provokes the ICMP error; later ones surface it.
 	for round := 0; round < 5; round++ {
-		if n, err := WriteBatch(tx, batch); err != nil || n != len(batch) {
+		if n, err := tx.WriteBatch(batch); err != nil || n != len(batch) {
 			t.Fatalf("round %d: WriteBatch = %d, %v; want %d, nil", round, n, err, len(batch))
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	// A batch of one takes the same path.
+	if err := tx.Send(batch[0]); err != nil {
+		t.Fatalf("Send after ICMP feedback: %v", err)
 	}
 }
 
-// --- portable helpers against a batch-less Conn ---
-
-// scalarOnlyConn is a Conn with no batch methods: the package helpers
-// must fall back to per-datagram Sends and single Recvs.
-type scalarOnlyConn struct {
-	sent [][]byte
-	rx   [][]byte
-}
-
-func (c *scalarOnlyConn) Send(d []byte) error {
-	c.sent = append(c.sent, append([]byte(nil), d...))
-	return nil
-}
-
-func (c *scalarOnlyConn) Recv(buf []byte) (int, error) {
-	if len(c.rx) == 0 {
-		return 0, ErrClosed
-	}
-	d := c.rx[0]
-	c.rx = c.rx[1:]
-	return copy(buf, d), nil
-}
-
-func (c *scalarOnlyConn) SetReadDeadline(time.Time) error { return nil }
-func (c *scalarOnlyConn) Close() error                    { return nil }
-func (c *scalarOnlyConn) LocalAddr() string               { return "scalar-only" }
-
-func TestBatchHelpersScalarFallback(t *testing.T) {
-	c := &scalarOnlyConn{rx: [][]byte{{1, 2, 3}, {4, 5}}}
-	batch := []wire.Datagram{{10}, {11, 11}, {12}}
-	if n, err := WriteBatch(c, batch); n != 3 || err != nil {
-		t.Fatalf("WriteBatch = %d, %v", n, err)
-	}
-	if len(c.sent) != 3 || !bytes.Equal(c.sent[1], []byte{11, 11}) {
-		t.Fatalf("scalar fallback sent %v", c.sent)
-	}
-	// ReadBatch on a scalar conn fills exactly one buffer per call.
-	bufs := []wire.Datagram{make([]byte, 8), make([]byte, 8)}
-	n, err := ReadBatch(c, bufs)
-	if n != 1 || err != nil {
-		t.Fatalf("ReadBatch = %d, %v; want 1, nil", n, err)
-	}
-	if !bytes.Equal(bufs[0], []byte{1, 2, 3}) {
-		t.Fatalf("ReadBatch filled %v", bufs[0])
-	}
-}
-
-// --- loopback: batched and scalar sends are behaviourally identical ---
+// --- loopback: every batch grouping is behaviourally identical ---
 
 // TestLoopbackBatchScalarEquivalence drives the same datagram sequence
-// through a stepper-backed loopback receiver three ways — scalar Sends,
-// WriteBatch in ragged chunks, and scalar Sends through the equivalent
+// through a stepper-backed loopback receiver three ways — Sends (batches
+// of one), WriteBatch in ragged chunks, and Sends through the equivalent
 // scalar Gilbert chain — and requires byte-identical delivery: the same
 // datagrams lost, the same order through the queue.
 func TestLoopbackBatchScalarEquivalence(t *testing.T) {
@@ -250,7 +209,7 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		t.Fatal("GilbertFactory should support batched stepping")
 	}
 
-	// Scalar sends through the stepper-backed receiver.
+	// Batches of one through the stepper-backed receiver.
 	hubA := NewLoopback()
 	rxA := hubA.ReceiverStepper(stepper, seed, total)
 	txA := hubA.Sender()
@@ -259,7 +218,7 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gotScalar := drain(rxA)
+	gotOne := drain(rxA)
 	hubA.Close()
 
 	// Batched sends, ragged chunk sizes (never a multiple of 64, so
@@ -276,7 +235,7 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		for j := range batch {
 			batch[j] = payload(i + j)
 		}
-		if w, err := WriteBatch(txB, batch); w != n || err != nil {
+		if w, err := txB.WriteBatch(batch); w != n || err != nil {
 			t.Fatalf("WriteBatch = %d, %v", w, err)
 		}
 		i += n
@@ -299,16 +258,16 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 	gotChain := drain(rxC)
 	hubC.Close()
 
-	if len(gotScalar) == total {
+	if len(gotOne) == total {
 		t.Fatalf("loss model erased nothing across %d sends — test is vacuous", total)
 	}
 	for name, got := range map[string][]string{"batched": gotBatch, "scalar chain": gotChain} {
-		if len(got) != len(gotScalar) {
-			t.Fatalf("%s delivered %d datagrams, scalar stepper %d", name, len(got), len(gotScalar))
+		if len(got) != len(gotOne) {
+			t.Fatalf("%s delivered %d datagrams, batches of one %d", name, len(got), len(gotOne))
 		}
 		for i := range got {
-			if got[i] != gotScalar[i] {
-				t.Fatalf("%s diverges at delivery %d: %s vs %s", name, i, got[i], gotScalar[i])
+			if got[i] != gotOne[i] {
+				t.Fatalf("%s diverges at delivery %d: %s vs %s", name, i, got[i], gotOne[i])
 			}
 		}
 	}
@@ -325,14 +284,14 @@ func TestLoopbackReadBatchDrain(t *testing.T) {
 	for i := range batch {
 		batch[i] = []byte{byte(i)}
 	}
-	if _, err := WriteBatch(tx, batch); err != nil {
+	if _, err := tx.WriteBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	bufs := make([]wire.Datagram, 16)
 	for i := range bufs {
 		bufs[i] = make([]byte, 8)
 	}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if err != nil || n != 10 {
 		t.Fatalf("ReadBatch = %d, %v; want 10, nil", n, err)
 	}
@@ -343,7 +302,7 @@ func TestLoopbackReadBatchDrain(t *testing.T) {
 	}
 }
 
-// --- pacer: batch debit converges to the scalar long-run rate ---
+// --- pacer: batch debit converges to the one-token long-run rate ---
 
 func TestPacerBatchConvergence(t *testing.T) {
 	const (
@@ -391,94 +350,117 @@ func TestPacerBatchConvergence(t *testing.T) {
 	}
 }
 
-// --- sender: batched round loop emits the identical carousel ---
+// --- sender: every batch size emits the oracle carousel ---
 
-// captureBatchConn is sender_test.go's captureConn with a batch path:
-// WriteBatch records datagram by datagram, so the sender's batched
-// flushes hit a real BatchConn and land in frames in wire order.
-type captureBatchConn struct {
-	captureConn
-	batches int
-}
-
-func (c *captureBatchConn) WriteBatch(batch []wire.Datagram) (int, error) {
-	c.batches++
-	for _, d := range batch {
-		c.frames = append(c.frames, append([]byte(nil), d...))
+// carouselOracle builds, outside the Sender, the datagrams a carousel of
+// objs emits over rounds [startRound, rounds) from position startPos:
+// object i's round-r schedule is its Scheduler (Tx_model_4 when unset,
+// the Sender's default) seeded with core.DeriveSeed(seed, r, i) and
+// truncated to its NSent, the objects interleave round-robin, and every
+// packet is encoded with AppendDatagram. It also returns each round's
+// datagram count, from which the expected flushes follow.
+func carouselOracle(t *testing.T, objs []*session.Object, seed int64, startRound, startPos, rounds int) (frames [][]byte, perRound []int) {
+	t.Helper()
+	rng := rand.New(&core.SplitMixSource{})
+	for r := startRound; r < rounds; r++ {
+		ids := make([][]int, len(objs))
+		for i, o := range objs {
+			sc := o.Scheduler()
+			if sc == nil {
+				sc = sched.TxModel4{}
+			}
+			rng.Seed(core.DeriveSeed(seed, uint64(r), uint64(i)))
+			s := sc.Schedule(o.Layout(), rng).Truncate(o.NSent())
+			ids[i] = s.AppendTo(nil)
+			if r == startRound {
+				ids[i] = ids[i][min(startPos, len(ids[i])):]
+			}
+		}
+		n := 0
+		for j := 0; ; j++ {
+			more := false
+			for i, o := range objs {
+				if j >= len(ids[i]) {
+					continue
+				}
+				more = true
+				d, err := o.AppendDatagram(ids[i][j], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, d)
+				n++
+			}
+			if !more {
+				break
+			}
+		}
+		perRound = append(perRound, n)
 	}
-	return len(batch), nil
+	return frames, perRound
 }
 
-func (c *captureBatchConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return readBatchScalar(c, bufs)
-}
-
+// TestSenderBatchedScalarIdenticalCarousel checks the Sender's output at
+// batch sizes 1 (a datagram per write), 7 (ragged tail flushes), 0 (the
+// default) and 64 against carouselOracle, for a fresh run and for a
+// mid-round resume, together with the flush accounting.
 func TestSenderBatchedScalarIdenticalCarousel(t *testing.T) {
-	run := func(conn Conn, batchSize int) SenderStats {
-		t.Helper()
-		objA := encodeTestObject(t, testFile(t, 32<<10, 1), 1, wire.CodeLDGMStaircase, 2.0, 512)
-		objB := encodeTestObject(t, testFile(t, 16<<10, 2), 2, wire.CodeRSE, 1.5, 512)
-		s := NewSender(conn, SenderConfig{Rounds: 3, Seed: 9, BatchSize: batchSize})
-		if err := s.Add(objA); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Add(objB); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		st := s.Stats()
-		s.Close()
-		return st
-	}
-	scalar := &captureConn{}
-	scalarStats := run(scalar, 0)
-	batched := &captureBatchConn{}
-	batchedStats := run(batched, 7) // odd size forces ragged tail flushes
+	objA := encodeTestObject(t, testFile(t, 32<<10, 1), 1, wire.CodeLDGMStaircase, 2.0, 512)
+	objB := encodeTestObject(t, testFile(t, 16<<10, 2), 2, wire.CodeRSE, 1.5, 512)
+	defer objA.Close()
+	defer objB.Close()
+	objs := []*session.Object{objA, objB}
+	const seed, rounds = 9, 3
 
-	if len(scalar.frames) != len(batched.frames) {
-		t.Fatalf("scalar sent %d datagrams, batched %d", len(scalar.frames), len(batched.frames))
-	}
-	for i := range scalar.frames {
-		if !bytes.Equal(scalar.frames[i], batched.frames[i]) {
-			t.Fatalf("carousel diverges at datagram %d", i)
+	for _, start := range []struct{ round, pos int }{{0, 0}, {1, 17}} {
+		want, perRound := carouselOracle(t, objs, seed, start.round, start.pos, rounds)
+		for _, batchSize := range []int{1, 7, 0, 64} {
+			name := fmt.Sprintf("start %d/%d, batch %d", start.round, start.pos, batchSize)
+			conn := &captureConn{}
+			s := NewSender(conn, SenderConfig{
+				Rounds: rounds, Seed: seed, BatchSize: batchSize,
+				StartRound: start.round, StartPos: start.pos,
+			})
+			for _, o := range objs {
+				if err := s.Add(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+
+			if len(conn.frames) != len(want) {
+				t.Fatalf("%s: sent %d datagrams, oracle %d", name, len(conn.frames), len(want))
+			}
+			wantBytes := 0
+			for i := range want {
+				if !bytes.Equal(conn.frames[i], want[i]) {
+					t.Fatalf("%s: carousel diverges from the oracle at datagram %d", name, i)
+				}
+				wantBytes += len(want[i])
+			}
+			if st.PacketsSent != uint64(len(want)) || st.BytesSent != uint64(wantBytes) {
+				t.Fatalf("%s: stats %+v, want %d packets, %d bytes", name, st, len(want), wantBytes)
+			}
+			size := batchSize
+			if size == 0 {
+				size = DefaultBatch
+			}
+			wantBatches := 0
+			for _, n := range perRound {
+				wantBatches += (n + size - 1) / size // a round boundary flushes its tail
+			}
+			if st.Batches != uint64(wantBatches) || conn.batches != wantBatches {
+				t.Fatalf("%s: %d flushes (conn saw %d), want %d", name, st.Batches, conn.batches, wantBatches)
+			}
+			if want := st.PacketsSent - st.Batches; st.SyscallsSaved != want {
+				t.Fatalf("%s: SyscallsSaved = %d, want packets-batches = %d", name, st.SyscallsSaved, want)
+			}
 		}
 	}
-	if scalarStats.PacketsSent != batchedStats.PacketsSent || scalarStats.BytesSent != batchedStats.BytesSent {
-		t.Fatalf("stats diverge: scalar %+v, batched %+v", scalarStats, batchedStats)
-	}
-	if batchedStats.Batches == 0 || batched.batches == 0 {
-		t.Fatal("batched run recorded no batch flushes")
-	}
-	if want := batchedStats.PacketsSent - batchedStats.Batches; batchedStats.SyscallsSaved != want {
-		t.Fatalf("SyscallsSaved = %d, want packets-batches = %d", batchedStats.SyscallsSaved, want)
-	}
-	if scalarStats.Batches != 0 {
-		t.Fatalf("scalar run recorded %d batch flushes", scalarStats.Batches)
-	}
 }
-
-// discardBatchConn is discardConn with a batch path, for the alloc
-// ceiling: WriteBatch must not make the conn the allocation.
-type discardBatchConn struct {
-	packets int
-	batches int
-}
-
-func (c *discardBatchConn) Send([]byte) error { c.packets++; return nil }
-func (c *discardBatchConn) WriteBatch(batch []wire.Datagram) (int, error) {
-	c.packets += len(batch)
-	c.batches++
-	return len(batch), nil
-}
-func (c *discardBatchConn) Recv([]byte) (int, error) { return 0, ErrClosed }
-func (c *discardBatchConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return readBatchScalar(c, bufs)
-}
-func (c *discardBatchConn) SetReadDeadline(time.Time) error { return nil }
-func (c *discardBatchConn) Close() error                    { return nil }
-func (c *discardBatchConn) LocalAddr() string               { return "discard-batch" }
 
 // TestSenderBatchedRoundAllocCeiling asserts the steady-state batched
 // round loop allocates nothing: across many rounds the amortized
@@ -492,7 +474,7 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 	objB := encodeTestObject(t, testFile(t, 64<<10, 2), 2, wire.CodeRSE, 1.5, 1024)
 	defer objA.Close()
 	defer objB.Close()
-	conn := &discardBatchConn{}
+	conn := &discardConn{}
 	const rounds = 64
 	allocs := testing.AllocsPerRun(5, func() {
 		s := NewSender(conn, SenderConfig{Seed: 2, Rounds: rounds, BatchSize: 32})
@@ -517,19 +499,13 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 
 // --- end to end: a lossy cast over batched UDP sockets ---
 
-// gilbertLossConn wraps a real Conn and erases datagrams with a Gilbert
-// chain before they reach the socket — live loss injection for the e2e
-// test, applied identically on the scalar and batched write paths.
+// gilbertLossConn wraps a real Conn and erases datagrams from each
+// written batch with a Gilbert chain before they reach the socket —
+// live loss injection for the e2e test (the sender only writes
+// batches).
 type gilbertLossConn struct {
 	Conn
 	ch core.Channel
-}
-
-func (c *gilbertLossConn) Send(d []byte) error {
-	if c.ch.Lost() {
-		return nil
-	}
-	return c.Conn.Send(d)
 }
 
 func (c *gilbertLossConn) WriteBatch(batch []wire.Datagram) (int, error) {
@@ -539,14 +515,10 @@ func (c *gilbertLossConn) WriteBatch(batch []wire.Datagram) (int, error) {
 			kept = append(kept, d)
 		}
 	}
-	if _, err := WriteBatch(c.Conn, kept); err != nil {
+	if _, err := c.Conn.WriteBatch(kept); err != nil {
 		return 0, err
 	}
 	return len(batch), nil
-}
-
-func (c *gilbertLossConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return ReadBatch(c.Conn, bufs)
 }
 
 // TestCastBatchedUDPGilbertEndToEnd casts 500 KiB through Gilbert loss

@@ -86,19 +86,28 @@ func BenchmarkReceiverDecodeLatency(b *testing.B) {
 	}
 }
 
-// discardConn swallows datagrams: the sender-round benchmark isolates
-// scheduling + lazy encoding from loopback fan-out.
-type discardConn struct{ packets int }
+// discardConn swallows datagrams, counting them and the writes: the
+// sender-round benchmarks isolate scheduling + lazy encoding from
+// loopback fan-out, and the alloc ceiling checks the conn is not the
+// allocation.
+type discardConn struct{ packets, batches int }
 
-func (c *discardConn) Send(d []byte) error             { c.packets++; return nil }
-func (c *discardConn) Recv([]byte) (int, error)        { return 0, ErrClosed }
-func (c *discardConn) SetReadDeadline(time.Time) error { return nil }
-func (c *discardConn) Close() error                    { return nil }
-func (c *discardConn) LocalAddr() string               { return "discard" }
+func (c *discardConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	c.packets += len(batch)
+	c.batches++
+	return len(batch), nil
+}
+
+func (c *discardConn) Send([]byte) error                      { c.packets++; c.batches++; return nil }
+func (c *discardConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
+func (c *discardConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
+func (c *discardConn) SetReadDeadline(time.Time) error        { return nil }
+func (c *discardConn) Close() error                           { return nil }
+func (c *discardConn) LocalAddr() string                      { return "discard" }
 
 // benchSenderRound measures one full carousel round per op — streaming
-// schedule draw, lazy per-packet encode through the shared scratch
-// buffer, round-robin interleave — with the Conn cost removed. The
+// schedule draw, lazy per-packet encode into the packed batch buffer,
+// round-robin interleave — with the Conn cost removed. The
 // headline column is allocs/op: the steady-state round loop must
 // allocate nothing (schedules are drawn by value, datagrams encoded in
 // place), where the old sender allocated a [][]int of schedules every
@@ -130,19 +139,21 @@ func benchSenderRound(b *testing.B, cfg SenderConfig, conn Conn, packets func() 
 	}
 }
 
+// BenchmarkSenderRound flushes every datagram on its own (BatchSize
+// 1): the per-datagram baseline, with one pacer debit and one write per
+// packet.
 func BenchmarkSenderRound(b *testing.B) {
 	conn := &discardConn{}
-	benchSenderRound(b, SenderConfig{}, conn, func() int { return conn.packets })
+	benchSenderRound(b, SenderConfig{BatchSize: 1}, conn, func() int { return conn.packets })
 }
 
-// BenchmarkSenderRoundBatched is the same carousel round with the
-// vectorized send loop: datagrams packed into one scratch region and
-// flushed 32 at a time through WriteBatch. The pkts/round and allocs/op
-// columns must match the scalar round (identical carousel, amortized
-// zero allocation); the ns/op delta is the packing overhead the batch
-// syscall savings buy back many times over on a real socket.
+// BenchmarkSenderRoundBatched is the same carousel round flushed 32
+// datagrams at a time through WriteBatch. The pkts/round and allocs/op
+// columns must match the batch-of-one round (identical carousel,
+// amortized zero allocation); the ns/op delta is the packing overhead
+// the batch syscall savings buy back many times over on a real socket.
 func BenchmarkSenderRoundBatched(b *testing.B) {
-	conn := &discardBatchConn{}
+	conn := &discardConn{}
 	benchSenderRound(b, SenderConfig{BatchSize: 32}, conn, func() int { return conn.packets })
 }
 
@@ -156,7 +167,7 @@ func BenchmarkSenderRoundInstrumented(b *testing.B) {
 	reg := obs.NewRegistry("fecperf")
 	tr := obs.NewTracer(io.Discard, obs.TracerConfig{Sample: 1e-12, Seed: 7})
 	conn := &discardConn{}
-	benchSenderRound(b, SenderConfig{Metrics: reg, Tracer: tr}, conn, func() int { return conn.packets })
+	benchSenderRound(b, SenderConfig{BatchSize: 1, Metrics: reg, Tracer: tr}, conn, func() int { return conn.packets })
 }
 
 // --- Kernel-batched datapath benchmarks (scripts/bench_net.sh) ---
@@ -182,8 +193,8 @@ func benchUDPPair(b *testing.B) (tx Conn, done func()) {
 
 const benchDgramSize = 1024
 
-// BenchmarkUDPWriteScalar is the per-datagram baseline: one sendto(2)
-// per 1 KiB datagram on a connected UDP socket.
+// BenchmarkUDPWriteScalar is the per-datagram baseline: one Send — a
+// write(2) — per 1 KiB datagram on a connected UDP socket.
 func BenchmarkUDPWriteScalar(b *testing.B) {
 	tx, done := benchUDPPair(b)
 	defer done()
@@ -219,7 +230,7 @@ func BenchmarkUDPWriteBatch(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if n, err := WriteBatch(tx, batch); n != batchN || err != nil {
+		if n, err := tx.WriteBatch(batch); n != batchN || err != nil {
 			b.Fatalf("WriteBatch = %d, %v", n, err)
 		}
 	}
@@ -285,7 +296,7 @@ func BenchmarkLoopbackWriteBatch(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if n, err := WriteBatch(tx, batch); n != batchN || err != nil {
+		if n, err := tx.WriteBatch(batch); n != batchN || err != nil {
 			b.Fatalf("WriteBatch = %d, %v", n, err)
 		}
 	}

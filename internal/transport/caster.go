@@ -59,8 +59,8 @@ type CasterConfig struct {
 	// ignored) — see SenderConfig.Pacer. The daemon paces streaming
 	// casts through a SharedPacer share this way.
 	Pacer Pacer
-	// BatchSize vectorizes the group senders' round loops — see
-	// SenderConfig.BatchSize. 0 or 1 keeps the scalar path.
+	// BatchSize is the group senders' datagrams per batch write — see
+	// SenderConfig.BatchSize (0 = DefaultBatch, 1 = one per write).
 	BatchSize int
 	// Window bounds how many chunks are FEC-encoded and resident at
 	// once (default DefaultWindow) — the sender-side memory bound and

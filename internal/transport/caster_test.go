@@ -308,16 +308,14 @@ func TestCasterCancel(t *testing.T) {
 	defer hub.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Pace the cast slowly so cancellation lands mid-stream.
+	// The source never ends: cancelling once the first window is on
+	// the air lands mid-stream.
 	c, err := NewCaster(hub.Sender(), neverEndingReader{},
-		CasterConfig{K: 16, PayloadSize: 256, Rate: 200, Burst: 4, Window: 1, Rounds: 1, Seed: 1})
+		CasterConfig{K: 16, PayloadSize: 256, Rate: 200, Burst: 4, Window: 1, Rounds: 1, Seed: 1,
+			OnProgress: func(CastProgress) { cancel() }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
 	if err := c.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled cast err = %v, want context.Canceled", err)
 	}

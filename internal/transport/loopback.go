@@ -25,7 +25,9 @@ const DefaultLoopbackQueue = 1024
 // tests and local experiments can exercise the full transport stack with
 // deterministic loss and zero sockets.
 type Loopback struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// receivers is copy-on-write: detach builds a new slice, so a
+	// fan-out may iterate the one it read under mu after unlocking.
 	receivers []*loopConn
 	closed    bool
 }
@@ -35,7 +37,7 @@ func NewLoopback() *Loopback {
 	return &Loopback{}
 }
 
-// Sender returns an endpoint whose Send fans out to every receiver
+// Sender returns an endpoint whose writes fan out to every receiver
 // attached at transmission time. Multiple senders may share one medium.
 func (l *Loopback) Sender() Conn {
 	return &loopSender{hub: l}
@@ -55,11 +57,11 @@ func (l *Loopback) Receiver(ch core.Channel, queue int) Conn {
 // the batched stepper st over a splitmix64 stream seeded with seed. It
 // is the batch-native sibling of Receiver: a WriteBatch fan-out steps
 // the chain in 64-wide StepMask calls — one lock acquisition and no
-// interface dispatch per batch — while scalar Sends step it one mask
-// bit at a time, so the loss sequence is bit-identical either way (and
-// identical to the scalar chain the stepper's factory builds over a
-// core.SplitMixSource with the same seed). queue <= 0 selects
-// DefaultLoopbackQueue.
+// interface dispatch per batch — and the stream does not depend on how
+// the datagrams were grouped into batches, so the loss sequence is
+// bit-identical for any batch sizes (and identical to the scalar chain
+// the stepper's factory builds over a core.SplitMixSource with the same
+// seed). queue <= 0 selects DefaultLoopbackQueue.
 func (l *Loopback) ReceiverStepper(st channel.Stepper, seed int64, queue int) Conn {
 	c := newLoopConn(l, queue)
 	c.useStepper = true
@@ -108,26 +110,6 @@ func (l *Loopback) Close() error {
 	return nil
 }
 
-// broadcast offers one datagram to every attached receiver.
-func (l *Loopback) broadcast(datagram []byte) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("transport: loopback: %w", ErrClosed)
-	}
-	rxs := make([]*loopConn, len(l.receivers))
-	copy(rxs, l.receivers)
-	l.mu.Unlock()
-	// One shared copy for all receivers: queued datagrams are read-only
-	// (Recv copies into the caller's buffer), so fan-out need not clone
-	// per receiver.
-	buf := append(make([]byte, 0, len(datagram)), datagram...)
-	for _, c := range rxs {
-		c.deliver(buf)
-	}
-	return nil
-}
-
 // broadcastBatch offers a batch to every attached receiver. The copies
 // all receivers share live in one backing allocation, and each receiver
 // applies its loss model to the whole batch under a single lock.
@@ -137,8 +119,7 @@ func (l *Loopback) broadcastBatch(batch []wire.Datagram) (int, error) {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("transport: loopback: %w", ErrClosed)
 	}
-	rxs := make([]*loopConn, len(l.receivers))
-	copy(rxs, l.receivers)
+	rxs := l.receivers
 	l.mu.Unlock()
 	total := 0
 	for _, d := range batch {
@@ -163,16 +144,15 @@ type loopSender struct {
 	closed atomic.Bool
 }
 
+// Send is a WriteBatch of one.
 func (s *loopSender) Send(datagram []byte) error {
-	if s.closed.Load() {
-		return fmt.Errorf("transport: loopback sender: %w", ErrClosed)
-	}
-	return s.hub.broadcast(datagram)
+	_, err := s.WriteBatch([]wire.Datagram{datagram})
+	return err
 }
 
-// WriteBatch implements BatchConn: the whole batch crosses the hub with
-// one lock round trip and one backing copy per receiver set, and each
-// receiver steps its loss model over the batch in 64-wide masks.
+// WriteBatch crosses the hub with one lock round trip and one backing
+// copy per receiver set, and each receiver steps its loss model over
+// the batch in 64-wide masks.
 func (s *loopSender) WriteBatch(batch []wire.Datagram) (int, error) {
 	if s.closed.Load() {
 		return 0, fmt.Errorf("transport: loopback sender: %w", ErrClosed)
@@ -220,45 +200,13 @@ type loopConn struct {
 	erased  atomic.Uint64 // channel erasures
 }
 
-// deliver applies the loss model and enqueues the (shared, read-only)
-// datagram, dropping it when the queue is full (UDP socket-buffer
-// semantics). The caller guarantees the slice is never mutated after
-// broadcast.
-func (c *loopConn) deliver(datagram []byte) {
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	if c.useStepper {
-		c.chMu.Lock()
-		lost := c.stepper.StepMask(&c.chState, &c.chLost, 1) != 0
-		c.chMu.Unlock()
-		if lost {
-			c.erased.Add(1)
-			return
-		}
-	} else if c.ch != nil {
-		c.chMu.Lock()
-		lost := c.ch.Lost()
-		c.chMu.Unlock()
-		if lost {
-			c.erased.Add(1)
-			return
-		}
-	}
-	select {
-	case c.queue <- datagram:
-	default:
-		c.dropped.Add(1)
-	}
-}
-
-// deliverBatch is deliver for a whole batch: one lock acquisition, the
-// loss model stepped in up to 64-wide masks. A stepper endpoint draws
-// exactly the same splitmix64 sequence as n scalar delivers would —
-// StepMask's chunking does not change the stream — so batched and
-// scalar sends produce byte-identical loss patterns.
+// deliverBatch applies the loss model and enqueues the surviving
+// (shared, read-only) datagrams, dropping any that find the queue full
+// (UDP socket-buffer semantics). It takes one lock per batch and steps
+// the loss model in up to 64-wide masks; StepMask's chunking does not
+// change the splitmix64 stream, so every batch grouping produces the
+// same loss pattern. The caller guarantees the slices are never
+// mutated afterwards.
 func (c *loopConn) deliverBatch(datagrams [][]byte) {
 	select {
 	case <-c.closed:
@@ -330,9 +278,9 @@ func (c *loopConn) Recv(buf []byte) (int, error) {
 	}
 }
 
-// ReadBatch implements BatchConn: it blocks for the first datagram with
-// Recv's exact deadline/close semantics, then drains whatever else is
-// already queued without blocking again.
+// ReadBatch blocks for the first datagram with Recv's exact
+// deadline/close semantics, then drains whatever else is already queued
+// without blocking again.
 func (c *loopConn) ReadBatch(bufs []wire.Datagram) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil
@@ -384,7 +332,7 @@ func (l *Loopback) detach(c *loopConn) {
 	defer l.mu.Unlock()
 	for i, r := range l.receivers {
 		if r == c {
-			l.receivers = append(l.receivers[:i], l.receivers[i+1:]...)
+			l.receivers = append(l.receivers[:i:i], l.receivers[i+1:]...)
 			return
 		}
 	}

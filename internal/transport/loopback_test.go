@@ -112,12 +112,16 @@ func TestLoopbackGilbertMatchesStationaryLoss(t *testing.T) {
 func TestLoopbackCloseUnblocksRecv(t *testing.T) {
 	hub := NewLoopback()
 	rx := hub.Receiver(nil, 1)
+	// Whether Close lands before or during the Recv, it must end it
+	// with ErrClosed.
 	errc := make(chan error, 1)
+	reading := make(chan struct{})
 	go func() {
+		close(reading)
 		_, err := rx.Recv(make([]byte, 16))
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-reading
 	hub.Close()
 	select {
 	case err := <-errc:
@@ -142,12 +146,11 @@ func TestLoopbackReadDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("deadline took %v", elapsed)
 	}
-	// Clearing the deadline makes Recv block again until data arrives.
+	// Clearing the deadline makes Recv wait for data again instead of
+	// failing at once.
 	rx.SetReadDeadline(time.Time{}) //nolint:errcheck
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		hub.Sender().Send([]byte("late")) //nolint:errcheck
-	}()
+	tx := hub.Sender()
+	go tx.Send([]byte("late")) //nolint:errcheck
 	n, err := rx.Recv(make([]byte, 16))
 	if err != nil || n != 4 {
 		t.Fatalf("Recv after clearing deadline: n=%d err=%v", n, err)

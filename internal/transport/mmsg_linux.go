@@ -6,17 +6,16 @@
 // mmsg calls, so the struct mmsghdr and the syscall numbers
 // (mmsg_sysnum_*.go) live here.
 //
-// The shape of the win: the scalar path pays one write(2) per datagram
-// (~1-2µs of mode switches and UDP stack entry each). sendmmsg moves up
-// to 64 headers per crossing, and GSO collapses a run of equal-size
-// datagrams into ONE header the kernel segments after the socket-layer
-// work is done — so a 64-packet carousel batch costs one syscall and
-// one qdisc traversal. GSO support is probed per socket at dial time
+// The shape of the win: a per-datagram loop pays one write(2) per
+// datagram (~1-2µs of mode switches and UDP stack entry each).
+// sendmmsg moves up to 64 headers per crossing, and GSO collapses a run
+// of equal-size datagrams into ONE header the kernel segments after the
+// socket-layer work is done — so a 64-packet carousel batch costs one
+// syscall and one qdisc traversal. GSO support is probed per socket at dial time
 // (UDP_SEGMENT dates to Linux 4.18) and degrades at runtime: a kernel
 // or NIC that rejects a segmented send disables GSO on that conn and
-// the batch is retried as plain sendmmsg, which itself degrades to the
-// portable per-datagram path only on platforms without the syscalls
-// (mmsg_fallback.go).
+// the batch is retried as plain sendmmsg. Platforms without the
+// syscalls build the portable per-datagram loops (mmsg_fallback.go).
 
 package transport
 
@@ -81,10 +80,10 @@ type udpBatch struct {
 // initBatch wires the batched datapath onto a freshly built conn and
 // probes GSO support (a zero UDP_SEGMENT setsockopt succeeds exactly
 // when the kernel knows the option).
-func (u *udpConn) initBatch() {
+func (u *udpConn) initBatch() error {
 	raw, err := u.c.SyscallConn()
 	if err != nil {
-		return // batch calls fall back to the scalar loop
+		return err
 	}
 	u.batch.raw = raw
 	gso := false
@@ -92,6 +91,7 @@ func (u *udpConn) initBatch() {
 		gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
 	})
 	u.batch.gso.Store(ctlErr == nil && gso)
+	return nil
 }
 
 // GSOEnabled reports whether batched writes on this conn currently use
@@ -99,7 +99,7 @@ func (u *udpConn) initBatch() {
 // result and latches false if the kernel ever rejects a segmented send.
 func (u *udpConn) GSOEnabled() bool { return u.batch.gso.Load() }
 
-// WriteBatch implements BatchConn via sendmmsg, coalescing runs of
+// WriteBatch implements Conn.WriteBatch via sendmmsg, coalescing runs of
 // equal-size datagrams into single GSO headers when the socket supports
 // it. Async ICMP errors are swallowed per datagram run, matching Send.
 func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
@@ -107,9 +107,6 @@ func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
 		return 0, nil
 	}
 	b := &u.batch
-	if b.raw == nil {
-		return writeBatchScalar(u, batch)
-	}
 	b.wmu.Lock()
 	defer b.wmu.Unlock()
 	sent := 0
@@ -208,7 +205,7 @@ func (u *udpConn) writeSome(batch []wire.Datagram) (int, error) {
 			// Async ICMP feedback on a connected socket: the kernel
 			// reports a receiver's absence and drops the head message.
 			// A broadcast is feedback-free — swallow it and move on,
-			// exactly as the scalar Send does.
+			// exactly as Send does.
 			done += b.wsegs[hdr]
 			hdr++
 		case syscall.EINVAL, syscall.EIO, syscall.EOPNOTSUPP, syscall.EMSGSIZE:
@@ -242,7 +239,7 @@ func (b *udpBatch) oobFor(i int, segSize uint16) []byte {
 	return oob
 }
 
-// ReadBatch implements BatchConn via recvmmsg: it parks on the runtime
+// ReadBatch implements Conn.ReadBatch via recvmmsg: it parks on the runtime
 // poller until the socket is readable (honouring the read deadline and
 // Close exactly like Recv), then drains up to len(bufs) datagrams in
 // one crossing.
@@ -251,9 +248,6 @@ func (u *udpConn) ReadBatch(bufs []wire.Datagram) (int, error) {
 		return 0, nil
 	}
 	b := &u.batch
-	if b.raw == nil {
-		return readBatchScalar(u, bufs)
-	}
 	b.rmu.Lock()
 	defer b.rmu.Unlock()
 	n := len(bufs)

@@ -70,8 +70,8 @@ func newPacer(rate float64, burst int, waitNS *obs.Counter) *pacer {
 // continuously at rate and cap at burst. n may exceed the burst: the
 // bucket then goes into debt (tokens become negative after the debit),
 // so a steady stream of over-burst batches still averages exactly rate
-// packets per second — the same long-run admission the scalar path
-// gives, delivered in batch-sized bursts.
+// packets per second — the same long-run admission one-token debits
+// give, delivered in batch-sized bursts.
 func (p *pacer) Take(ctx context.Context, n int) error {
 	// Honour cancellation on every admission, including the token-rich
 	// fast path: the sender's round loop relies on Take to notice a

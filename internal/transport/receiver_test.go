@@ -136,7 +136,8 @@ func TestReceiverDaemonMultiObjectAndStats(t *testing.T) {
 func TestReceiverDaemonLRUEviction(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	d := NewReceiverDaemon(hub.Receiver(nil, 65536), ReceiverConfig{MaxInFlight: 2})
+	rx := newReadTap(hub.Receiver(nil, 65536), 5)
+	d := NewReceiverDaemon(rx, ReceiverConfig{MaxInFlight: 2})
 	stop := runDaemon(t, d)
 
 	// Send one datagram from each of 5 objects: every arrival past the
@@ -152,10 +153,7 @@ func TestReceiverDaemonLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().PacketsSeen < 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, rx.idle, "the daemon to handle 5 datagrams")
 	stop()
 	st := d.Stats()
 	if st.ObjectsStarted != 5 {
@@ -169,7 +167,11 @@ func TestReceiverDaemonLRUEviction(t *testing.T) {
 func TestReceiverDaemonCompletedBytesBound(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	d := NewReceiverDaemon(hub.Receiver(nil, 65536), ReceiverConfig{MaxCompleted: 2})
+	decoded := make(chan uint32, 4)
+	d := NewReceiverDaemon(hub.Receiver(nil, 65536), ReceiverConfig{
+		MaxCompleted: 2,
+		OnComplete:   func(id uint32, _ []byte) { decoded <- id },
+	})
 	stop := runDaemon(t, d)
 	defer stop()
 
@@ -182,9 +184,8 @@ func TestReceiverDaemonCompletedBytesBound(t *testing.T) {
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().ObjectsDecoded < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 4; i++ {
+		waitFor(t, decoded, "four decoded objects")
 	}
 	if got := d.Stats().ObjectsDecoded; got != 4 {
 		t.Fatalf("ObjectsDecoded = %d, want 4", got)
@@ -219,10 +220,12 @@ func TestReceiverDaemonConcurrentSenders(t *testing.T) {
 	stop := runDaemon(t, d)
 	defer stop()
 
+	// Every sender reads the daemon's stats after each round: atomic
+	// stats reads racing the ingest loop and the other senders.
 	var wg sync.WaitGroup
 	for id := uint32(1); id <= nsenders; id++ {
 		obj := encodeTestObject(t, files[id], id, wire.CodeLDGMStaircase, 2.0, 512)
-		s := NewSender(hub.Sender(), SenderConfig{Rounds: 2, Seed: int64(id)})
+		s := NewSender(hub.Sender(), SenderConfig{Rounds: 2, Seed: int64(id), OnRound: func(int) { _ = d.Stats() }})
 		if err := s.Add(obj); err != nil {
 			t.Fatal(err)
 		}
@@ -234,18 +237,6 @@ func TestReceiverDaemonConcurrentSenders(t *testing.T) {
 			}
 		}()
 	}
-	// Concurrent stats polling while senders run.
-	pollCtx, pollCancel := context.WithCancel(context.Background())
-	var poll sync.WaitGroup
-	poll.Add(1)
-	go func() {
-		defer poll.Done()
-		for pollCtx.Err() == nil {
-			_ = d.Stats()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for id, f := range files {
@@ -258,8 +249,6 @@ func TestReceiverDaemonConcurrentSenders(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	pollCancel()
-	poll.Wait()
 }
 
 func TestWaitObjectCancellation(t *testing.T) {
@@ -281,7 +270,8 @@ func TestWaitObjectCancellation(t *testing.T) {
 func TestReceiverDaemonRejectsForgedHugeOTI(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{})
+	rx := newReadTap(hub.Receiver(nil, 16), 1)
+	d := NewReceiverDaemon(rx, ReceiverConfig{})
 	stop := runDaemon(t, d)
 	defer stop()
 
@@ -299,10 +289,7 @@ func TestReceiverDaemonRejectsForgedHugeOTI(t *testing.T) {
 	if err := hub.Sender().Send(forged); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().PacketsSeen < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, rx.idle, "the daemon to handle the forged datagram")
 	st := d.Stats()
 	if st.PacketsBad != 1 || st.ObjectsStarted != 0 {
 		t.Fatalf("forged OTI not rejected: %+v", st)
@@ -315,7 +302,8 @@ func TestReceiverDaemonRejectsForgedHugeOTI(t *testing.T) {
 func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	d := NewReceiverDaemon(hub.Receiver(nil, 4096), ReceiverConfig{MaxInFlight: 2})
+	rx := newReadTap(hub.Receiver(nil, 4096), 52)
+	d := NewReceiverDaemon(rx, ReceiverConfig{MaxInFlight: 2})
 	stop := runDaemon(t, d)
 	defer stop()
 	tx := hub.Sender()
@@ -343,10 +331,7 @@ func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().PacketsSeen < 52 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, rx.idle, "the daemon to handle 52 datagrams")
 	st := d.Stats()
 	if st.ObjectsEvicted != 0 {
 		t.Fatalf("unopenable packets evicted live objects: %+v", st)
@@ -362,7 +347,8 @@ func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 func TestReceiverDaemonCountsTruncation(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{MTU: 256})
+	rx := newReadTap(hub.Receiver(nil, 16), 1)
+	d := NewReceiverDaemon(rx, ReceiverConfig{MTU: 256})
 	stop := runDaemon(t, d)
 	defer stop()
 
@@ -374,10 +360,7 @@ func TestReceiverDaemonCountsTruncation(t *testing.T) {
 	if err := hub.Sender().Send(dgram); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().PacketsSeen < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, rx.idle, "the daemon to handle the oversized datagram")
 	st := d.Stats()
 	if st.PacketsTruncated != 1 || st.PacketsBad != 0 {
 		t.Fatalf("oversized datagram not classified as truncated: %+v", st)

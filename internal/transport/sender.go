@@ -26,15 +26,14 @@ type SenderConfig struct {
 	// the external pacer accrues on the same pacer-wait counter as the
 	// built-in bucket's sleeps.
 	Pacer Pacer
-	// BatchSize vectorizes the round loop: up to BatchSize datagrams are
-	// encoded back to back into one packed scratch region and flushed
-	// with a single batch write — one kernel crossing on batch-capable
-	// conns (sendmmsg/GSO on UDP, one lock per batch on loopback) — and
-	// the pacer is charged once per flush instead of once per packet.
-	// Values above 64 are clamped; 0 or 1 keeps the scalar per-datagram
-	// path. Batching changes pacing granularity (tokens are taken
-	// BatchSize at a time) but not the datagram sequence: batched and
-	// scalar runs emit byte-identical carousels.
+	// BatchSize is how many datagrams the round loop encodes back to
+	// back into one packed scratch region and flushes with a single
+	// batch write — one kernel crossing (sendmmsg/GSO on UDP, one lock
+	// per batch on loopback) and one pacer debit per flush. 0 selects
+	// DefaultBatch, 1 flushes every datagram on its own, and values
+	// above 64 are clamped. The batch size changes pacing granularity
+	// (tokens are taken BatchSize at a time) but not the datagram
+	// sequence: every batch size emits a byte-identical carousel.
 	BatchSize int
 	// Rounds bounds the carousel; 0 streams until the context is
 	// cancelled — the ALC "infinite carousel" serving late joiners.
@@ -82,11 +81,11 @@ type SenderStats struct {
 	// Resumes counts Runs that started mid-carousel (StartRound or
 	// StartPos set).
 	Resumes uint64
-	// Batches counts batch flushes (0 when the sender runs scalar).
+	// Batches counts batch flushes.
 	Batches uint64
 	// SyscallsSaved counts kernel crossings avoided by batching: each
-	// n-datagram flush counts n-1 (what the scalar path would have paid
-	// on top of the one write the flush actually issued).
+	// n-datagram flush counts n-1 (what a per-datagram loop would have
+	// paid on top of the one write the flush actually issued).
 	SyscallsSaved uint64
 }
 
@@ -98,7 +97,7 @@ type SenderStats struct {
 //
 // The steady-state round loop allocates nothing: schedules are
 // streaming (O(1) rules, drawn by value into each object's slot) and
-// datagrams are encoded per send into one reused scratch buffer — a
+// datagrams are encoded per flush into one reused packed buffer — a
 // many-object carousel holds its symbol payloads once, in the session
 // objects, not a second time as pre-encoded datagrams.
 //
@@ -162,7 +161,7 @@ func NewSender(conn Conn, cfg SenderConfig) *Sender {
 }
 
 // Add registers an encoded object with the carousel. Datagrams are
-// encoded lazily, round by round, through a shared scratch buffer —
+// encoded lazily, batch by batch, through a shared packed buffer —
 // nothing is pre-encoded or cached — so the object must remain open
 // (not Closed) until the carousel stops.
 func (s *Sender) Add(obj *session.Object) error {
@@ -224,22 +223,21 @@ func (s *Sender) Run(ctx context.Context) error {
 	} else {
 		p = newPacer(s.cfg.Rate, s.cfg.Burst, &s.pacerWait)
 	}
-	scratch := make([]byte, 0, 2048)
 	if startRound > 0 || s.cfg.StartPos > 0 {
 		s.resumes.Inc()
 	}
 	batchSize := s.cfg.BatchSize
+	if batchSize <= 0 {
+		batchSize = DefaultBatch
+	}
 	if batchSize > maxSendBatch {
 		batchSize = maxSendBatch
 	}
-	var batch *sendBatch
-	if batchSize > 1 {
-		batch = &sendBatch{
-			size:  batchSize,
-			buf:   make([]byte, 0, batchSize*2048),
-			ends:  make([]int, 0, batchSize),
-			views: make([]wire.Datagram, 0, batchSize),
-		}
+	batch := &sendBatch{
+		size:  batchSize,
+		buf:   make([]byte, 0, batchSize*2048),
+		ends:  make([]int, 0, batchSize),
+		views: make([]wire.Datagram, 0, batchSize),
 	}
 
 	for round := startRound; s.cfg.Rounds <= 0 || round < s.cfg.Rounds; round++ {
@@ -265,53 +263,13 @@ func (s *Sender) Run(ctx context.Context) error {
 				o.cur.Seek(pos)
 			}
 		}
-		if batch != nil {
-			if err := s.roundBatched(ctx, p, batch, round); err != nil {
-				return err
-			}
-			s.rounds.Add(1)
-			if s.cfg.OnRound != nil {
-				s.cfg.OnRound(round)
-			}
-			continue
-		}
-		// Round-robin interleave across objects: one packet from each
-		// in turn, objects with longer schedules trailing off last. Each
-		// object's cursor walks its schedule in batched draws.
-		for remaining := len(s.objs); remaining > 0; {
-			remaining = 0
-			for _, o := range s.objs {
-				id, ok := o.cur.Next()
-				if !ok {
-					continue
-				}
-				remaining++
-				if err := p.Take(ctx, 1); err != nil {
-					return err
-				}
-				var err error
-				scratch, err = o.obj.AppendDatagram(id, scratch[:0])
-				if err != nil {
-					return fmt.Errorf("transport: encoding object %d: %w", o.obj.ObjectID(), err)
-				}
-				if err := s.conn.Send(scratch); err != nil {
-					return fmt.Errorf("transport: send: %w", err)
-				}
-				s.packets.Inc()
-				s.bytes.Add(uint64(len(scratch)))
-				if !o.txStarted {
-					o.txStarted = true
-					if tr := s.cfg.Tracer; tr != nil {
-						tr.Emit(obs.Event{
-							Event:  obs.TraceFirstTx,
-							Object: o.obj.ObjectID(),
-							Packet: id,
-							Round:  round,
-							Bytes:  int64(len(scratch)),
-						})
-					}
-				}
-			}
+		err := s.sendRound(ctx, p, batch, round)
+		// Full flushes are tallied per round and published in bulk: one
+		// histogram update per round instead of one per flush.
+		s.batchSizes.ObserveN(int64(batch.size), batch.full)
+		batch.full = 0
+		if err != nil {
+			return err
 		}
 		s.rounds.Add(1)
 		if s.cfg.OnRound != nil {
@@ -321,12 +279,18 @@ func (s *Sender) Run(ctx context.Context) error {
 	return nil
 }
 
+// DefaultBatch is the datagrams per kernel crossing when a batch size
+// is left 0, in both directions: SenderConfig.BatchSize (and the
+// Caster's) on the write side, ReceiverConfig.ReadBatch (and the
+// Collector's) on the read side.
+const DefaultBatch = 32
+
 // maxSendBatch caps SenderConfig.BatchSize at the widths the layers
 // below are built for: one StepMask on the loopback, one sendmmsg
 // header array (and the kernel's GSO segment limit) on UDP.
 const maxSendBatch = 64
 
-// sendBatch is the vectorized round loop's reusable flush state: every
+// sendBatch is the round loop's reusable flush state: every
 // datagram of a batch is encoded back to back into one packed buffer,
 // and the per-datagram views handed to WriteBatch are materialized only
 // at flush time (the packed buffer may move while the batch fills).
@@ -334,18 +298,20 @@ const maxSendBatch = 64
 // round allocates nothing.
 type sendBatch struct {
 	size   int
+	full   uint64 // full flushes not yet in the batch-size histogram
 	buf    []byte // packed encodings of the pending datagrams
 	ends   []int  // end offset of datagram i in buf
 	views  []wire.Datagram
 	traces []obs.Event // first_tx events deferred until the flush lands
 }
 
-// roundBatched is the vectorized inner loop of Run: the same
-// round-robin walk as the scalar path, but datagrams accumulate in the
-// batch and hit the conn size datagrams per kernel crossing. The
-// carousel byte sequence is identical to the scalar loop's; only the
-// grouping (and the pacer's debit granularity) changes.
-func (s *Sender) roundBatched(ctx context.Context, p Pacer, b *sendBatch, round int) error {
+// sendRound is Run's inner loop: a round-robin interleave across objects,
+// one packet from each in turn, objects with longer schedules trailing
+// off last. Each object's cursor walks its schedule in batched draws;
+// datagrams accumulate in the batch and hit the conn size datagrams per
+// kernel crossing. The batch size changes only the grouping (and the
+// pacer's debit granularity), never the carousel byte sequence.
+func (s *Sender) sendRound(ctx context.Context, p Pacer, b *sendBatch, round int) error {
 	for remaining := len(s.objs); remaining > 0; {
 		remaining = 0
 		for _, o := range s.objs {
@@ -404,14 +370,20 @@ func (s *Sender) flushBatch(ctx context.Context, p Pacer, b *sendBatch) error {
 		b.views = append(b.views, b.buf[start:end:end])
 		start = end
 	}
-	if _, err := WriteBatch(s.conn, b.views); err != nil {
+	if _, err := s.conn.WriteBatch(b.views); err != nil {
 		return fmt.Errorf("transport: send batch: %w", err)
 	}
 	s.packets.Add(uint64(n))
 	s.bytes.Add(uint64(len(b.buf)))
 	s.batches.Inc()
-	s.syscallsSaved.Add(uint64(n - 1))
-	s.batchSizes.Observe(int64(n))
+	if n > 1 {
+		s.syscallsSaved.Add(uint64(n - 1))
+	}
+	if n == b.size {
+		b.full++
+	} else {
+		s.batchSizes.Observe(int64(n))
+	}
 	if tr := s.cfg.Tracer; tr != nil {
 		for i := range b.traces {
 			tr.Emit(b.traces[i])

@@ -156,19 +156,30 @@ func TestSenderHonoursNSent(t *testing.T) {
 	}
 }
 
-// captureConn records every datagram handed to Send.
+// captureConn records every datagram written, in wire order, and
+// counts the writes.
 type captureConn struct {
-	frames [][]byte
+	frames  [][]byte
+	batches int
+}
+
+func (c *captureConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	c.batches++
+	for _, d := range batch {
+		c.frames = append(c.frames, append([]byte(nil), d...))
+	}
+	return len(batch), nil
 }
 
 func (c *captureConn) Send(d []byte) error {
-	c.frames = append(c.frames, append([]byte(nil), d...))
-	return nil
+	_, err := c.WriteBatch([]wire.Datagram{d})
+	return err
 }
-func (c *captureConn) Recv([]byte) (int, error)        { return 0, ErrClosed }
-func (c *captureConn) SetReadDeadline(time.Time) error { return nil }
-func (c *captureConn) Close() error                    { return nil }
-func (c *captureConn) LocalAddr() string               { return "capture" }
+func (c *captureConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
+func (c *captureConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
+func (c *captureConn) SetReadDeadline(time.Time) error        { return nil }
+func (c *captureConn) Close() error                           { return nil }
+func (c *captureConn) LocalAddr() string                      { return "capture" }
 
 // TestSenderMidRoundResume verifies the carousel's resume contract:
 // a sender restarted at (StartRound, StartPos) emits exactly the byte
@@ -278,31 +289,38 @@ func TestSenderCloseWaitsForRun(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
 	obj := encodeTestObject(t, testFile(t, 8<<10, 21), 9, wire.CodeLDGMStaircase, 2.0, 512)
-	s := NewSender(hub.Sender(), SenderConfig{Rate: 2000, Seed: 1}) // infinite carousel
+	going := make(chan struct{}) // closed after the first round
+	later := make(chan struct{}) // closed after the third
+	s := NewSender(hub.Sender(), SenderConfig{Rate: 2000, Seed: 1, OnRound: func(r int) {
+		switch r {
+		case 0:
+			close(going)
+		case 2:
+			close(later)
+		}
+	}}) // infinite carousel
 	if err := s.Add(obj); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() { runErr <- s.Run(ctx) }()
-	time.Sleep(30 * time.Millisecond) // let the carousel get going
+	waitFor(t, going, "the first round")
 
-	const cancelAfter = 30 * time.Millisecond
+	closed := make(chan struct{})
 	go func() {
-		time.Sleep(cancelAfter)
-		cancel()
+		s.Close() // must block until cancellation stops Run
+		close(closed)
 	}()
-	start := time.Now()
-	s.Close() // must block until cancellation stops Run
-	if waited := time.Since(start); waited < cancelAfter/2 {
-		t.Fatalf("Close returned after %v, before the carousel could have stopped", waited)
-	}
+	waitFor(t, later, "the third round")
 	select {
-	case err := <-runErr:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Run = %v, want context.Canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Run did not return after cancellation")
+	case <-closed:
+		t.Fatal("Close returned while the carousel was still running")
+	default:
+	}
+	cancel()
+	waitFor(t, closed, "Close after cancellation")
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 }

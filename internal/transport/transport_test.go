@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"fecperf/internal/session"
 	"fecperf/internal/wire"
@@ -33,4 +34,39 @@ func encodeTestObject(t testing.TB, data []byte, id uint32, family wire.CodeFami
 		t.Fatalf("EncodeObject(%d): %v", id, err)
 	}
 	return obj
+}
+
+// waitFor blocks until ch is closed or receives, failing the test after
+// a generous bound so a lost event cannot hang the suite.
+func waitFor[T any](t testing.TB, ch <-chan T, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// readTap wraps a receiver conn and closes idle when its reader comes
+// back for more after want datagrams: a ReceiverDaemon reads again only
+// once it has handled everything it read before.
+type readTap struct {
+	Conn
+	want, got int
+	idle      chan struct{}
+	closed    bool
+}
+
+func newReadTap(c Conn, want int) *readTap {
+	return &readTap{Conn: c, want: want, idle: make(chan struct{})}
+}
+
+func (r *readTap) ReadBatch(bufs []wire.Datagram) (int, error) {
+	if r.got >= r.want && !r.closed {
+		r.closed = true
+		close(r.idle)
+	}
+	n, err := r.Conn.ReadBatch(bufs)
+	r.got += n
+	return n, err
 }

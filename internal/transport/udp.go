@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// udpConn adapts *net.UDPConn to the Conn interface — and, through the
-// udpBatch state (mmsg_linux.go / mmsg_fallback.go), to BatchConn. The
+// udpConn adapts *net.UDPConn to the Conn interface; its batch methods
+// and udpBatch state live in mmsg_linux.go / mmsg_fallback.go. The
 // sender side is a connected socket (unicast, broadcast or multicast
 // destination); the receiver side is a bound — and, for multicast
 // groups, joined — socket.
@@ -30,9 +30,7 @@ func DialUDP(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %q: %w", addr, err)
 	}
-	u := &udpConn{c: c}
-	u.initBatch()
-	return u, nil
+	return newUDPConn(c, "dial", addr)
 }
 
 // ListenUDP returns a receiving endpoint bound to addr ("host:port" or
@@ -56,8 +54,18 @@ func ListenUDP(addr string) (Conn, error) {
 	// FEC broadcasts are bursty; absorb what the scheduler hands the
 	// kernel between our reads. Best effort — some systems clamp it.
 	c.SetReadBuffer(8 << 20) //nolint:errcheck
+	return newUDPConn(c, "listen", addr)
+}
+
+// newUDPConn wires the batched datapath onto a fresh socket, closing it
+// if that fails: a conn that cannot batch is an error, not a silent
+// downgrade.
+func newUDPConn(c *net.UDPConn, op, addr string) (Conn, error) {
 	u := &udpConn{c: c}
-	u.initBatch()
+	if err := u.initBatch(); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("transport: %s %q: %w", op, addr, err)
+	}
 	return u, nil
 }
 
